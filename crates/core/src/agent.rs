@@ -31,7 +31,7 @@ use pilgrim_cclu::{CodeAddr, Fault, FrameKind, Op, ProcId, Signature, Type, Valu
 use pilgrim_mayflower::{Node, Outcall, Pid, ProcBody, RunState, SpawnOpts};
 use pilgrim_ring::{Medium, NodeId, TxStatus};
 use pilgrim_rpc::{marshal, unmarshal, HandlerCtx, NativeHandler, RpcEndpoint};
-use pilgrim_sim::{EventKind, Json, SimDuration, SimTime, TraceCategory, Tracer};
+use pilgrim_sim::{EventKind, SimDuration, SimTime, TraceCategory, Tracer};
 
 use crate::proto::{
     AgentEvent, AgentReply, AgentRequest, DebugMsg, FrameSummary, ProcView, RpcCallView,
@@ -82,41 +82,11 @@ impl Default for AgentConfig {
     }
 }
 
-impl AgentConfig {
-    /// The config as a JSON object for the replay recipe.
-    pub fn to_json(&self) -> Json {
-        Json::obj(vec![
-            (
-                "request_cost_us",
-                Json::Int(self.request_cost.as_micros() as i128),
-            ),
-            ("halt_retransmit", Json::Int(self.halt_retransmit as i128)),
-            ("broadcast_halt", Json::Bool(self.broadcast_halt)),
-        ])
-    }
-
-    /// Rebuilds a config from [`to_json`](AgentConfig::to_json) output.
-    ///
-    /// # Errors
-    ///
-    /// Missing or mistyped fields.
-    pub fn from_json(v: &Json) -> Result<AgentConfig, String> {
-        Ok(AgentConfig {
-            request_cost: v
-                .get("request_cost_us")
-                .and_then(Json::as_u64)
-                .map(SimDuration::from_micros)
-                .ok_or("agent config: missing `request_cost_us`")?,
-            halt_retransmit: v
-                .get("halt_retransmit")
-                .and_then(Json::as_u64)
-                .and_then(|n| u32::try_from(n).ok())
-                .ok_or("agent config: missing `halt_retransmit`")?,
-            broadcast_halt: v
-                .get("broadcast_halt")
-                .and_then(Json::as_bool)
-                .ok_or("agent config: missing `broadcast_halt`")?,
-        })
+pilgrim_sim::json_codec! {
+    struct AgentConfig as "agent config" {
+        request_cost: "request_cost_us",
+        halt_retransmit: "halt_retransmit",
+        broadcast_halt: "broadcast_halt",
     }
 }
 

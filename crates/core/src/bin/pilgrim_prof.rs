@@ -190,7 +190,7 @@ fn selftest() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    match replay(&reparsed) {
+    match replay(&reparsed, 1, None) {
         Ok(r) => {
             if r.divergence.is_some() {
                 eprintln!("selftest FAILED: profiled replay diverged");

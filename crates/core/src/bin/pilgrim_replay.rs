@@ -56,7 +56,7 @@ fn replay_file(path: &str) -> ExitCode {
         artifact.trace.len()
     );
     let start = Instant::now();
-    let report = match replay(&artifact) {
+    let report = match replay(&artifact, 1, None) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("pilgrim-replay: replay failed: {e}");
@@ -157,7 +157,7 @@ fn selftest() -> ExitCode {
     };
 
     let t2 = Instant::now();
-    let report = match replay(&reparsed) {
+    let report = match replay(&reparsed, 1, None) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("selftest FAILED: replay errored: {e}");
@@ -189,7 +189,7 @@ fn selftest() -> ExitCode {
     lines[victim] = &mutated_line;
     let mut corrupted = reparsed.clone();
     corrupted.trace = lines.join("\n") + "\n";
-    match replay(&corrupted) {
+    match replay(&corrupted, 1, None) {
         Ok(r) => match r.divergence {
             Some(d) if d.index == victim => {
                 println!("mutation check: divergence correctly pinned to event {victim}:");

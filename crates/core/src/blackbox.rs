@@ -15,7 +15,8 @@
 //!
 //! [`Tracer`]: pilgrim_sim::Tracer
 
-use pilgrim_sim::{Json, SimTime, TraceEvent};
+use pilgrim_sim::json::{parse_document, render_document};
+use pilgrim_sim::{SimTime, TraceEvent};
 
 /// Blackbox format tag, checked on load.
 pub const FORMAT: &str = "pilgrim-blackbox";
@@ -48,25 +49,25 @@ pub struct BlackboxSnapshot {
     pub events: String,
 }
 
+pilgrim_sim::json_codec! {
+    struct BlackboxSnapshot as "blackbox" {
+        reason: "reason",
+        at: "at_us",
+        sync_index: "sync_index",
+        metrics: "metrics",
+        windows: "windows",
+        // Absent in dumps written before per-window series rode along;
+        // still version 1.
+        series: "series" = String::new(),
+        events: "events",
+    }
+}
+
 impl BlackboxSnapshot {
     /// Renders the snapshot as one self-describing JSON document
     /// (trailing newline included).
     pub fn render(&self) -> String {
-        let doc = Json::obj(vec![
-            ("format", Json::Str(FORMAT.to_string())),
-            ("version", Json::Int(VERSION as i128)),
-            ("reason", Json::Str(self.reason.clone())),
-            ("at_us", Json::Int(self.at.as_micros() as i128)),
-            ("sync_index", Json::Int(self.sync_index as i128)),
-            ("metrics", Json::Str(self.metrics.clone())),
-            ("windows", Json::Str(self.windows.clone())),
-            ("series", Json::Str(self.series.clone())),
-            ("events", Json::Str(self.events.clone())),
-        ]);
-        let mut out = String::new();
-        doc.write(&mut out);
-        out.push('\n');
-        out
+        render_document(FORMAT, VERSION, self.to_json())
     }
 
     /// Parses a snapshot rendered by [`render`](BlackboxSnapshot::render).
@@ -75,45 +76,7 @@ impl BlackboxSnapshot {
     ///
     /// Malformed JSON, wrong format tag or version, or missing sections.
     pub fn parse(text: &str) -> Result<BlackboxSnapshot, String> {
-        let doc = Json::parse(text).map_err(|e| e.to_string())?;
-        let format = doc.get("format").and_then(Json::as_str).unwrap_or("");
-        if format != FORMAT {
-            return Err(format!("not a {FORMAT} artifact (format tag `{format}`)"));
-        }
-        let version = doc.get("version").and_then(Json::as_u64).unwrap_or(0);
-        if version != VERSION as u64 {
-            return Err(format!(
-                "unsupported blackbox version {version} (expected {VERSION})"
-            ));
-        }
-        let s = |field: &str| -> Result<String, String> {
-            doc.get(field)
-                .and_then(Json::as_str)
-                .map(str::to_string)
-                .ok_or_else(|| format!("blackbox: missing `{field}`"))
-        };
-        Ok(BlackboxSnapshot {
-            reason: s("reason")?,
-            at: doc
-                .get("at_us")
-                .and_then(Json::as_u64)
-                .map(SimTime::from_micros)
-                .ok_or("blackbox: missing `at_us`")?,
-            sync_index: doc
-                .get("sync_index")
-                .and_then(Json::as_u64)
-                .ok_or("blackbox: missing `sync_index`")?,
-            metrics: s("metrics")?,
-            windows: s("windows")?,
-            // Absent in dumps written before per-window series rode
-            // along; still version 1, tolerantly defaulted.
-            series: doc
-                .get("series")
-                .and_then(Json::as_str)
-                .map(str::to_string)
-                .unwrap_or_default(),
-            events: s("events")?,
-        })
+        BlackboxSnapshot::from_json(&parse_document(text, FORMAT, VERSION, "blackbox")?)
     }
 
     /// Decodes the event ring back into typed trace events.

@@ -445,7 +445,8 @@ impl DebugCli {
                     .ok_or_else(|| usage("replay <path>"))?;
                 let text = std::fs::read_to_string(path)
                     .map_err(|e| DebugError::Source(format!("cannot read {path}: {e}")))?;
-                let report = crate::replay::replay_artifact(&text)
+                let report = crate::replay::Artifact::parse(&text)
+                    .and_then(|a| crate::replay::replay(&a, 1, None))
                     .map_err(|e| DebugError::Source(e.to_string()))?;
                 Ok(match report.divergence {
                     None => format!(

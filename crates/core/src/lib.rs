@@ -78,10 +78,7 @@ pub use proto::{
     AgentEvent, AgentReply, AgentRequest, ConvertedTime, DebugMsg, FrameSummary, KnowledgeView,
     ProcView, RpcCallView, RpcFrameView, SessionId, StateView,
 };
-pub use replay::{
-    replay_with_setup, replay_with_threads, Artifact, Recipe, ReplayError, ReplayReport,
-    SetupInstaller, Stimulus,
-};
+pub use replay::{replay, Artifact, Recipe, ReplayError, ReplayReport, SetupInstaller, Stimulus};
 pub use timebase::{BreakpointLog, HaltRecord};
 pub use twin::{capture, twin_run, twin_threads, TwinArtifacts, TWIN_THREADS};
 pub use world::{

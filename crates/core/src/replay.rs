@@ -29,7 +29,7 @@
 //! w.run_until_idle(SimTime::from_secs(1));
 //!
 //! let text = w.record().render();
-//! let report = replay(&Artifact::parse(&text).unwrap()).unwrap();
+//! let report = replay(&Artifact::parse(&text).unwrap(), 1, None).unwrap();
 //! assert!(report.divergence.is_none());
 //! ```
 
@@ -38,7 +38,10 @@ use std::fmt;
 use pilgrim_cclu::Value;
 use pilgrim_mayflower::NodeConfig;
 use pilgrim_ring::NetworkConfig;
-use pilgrim_rpc::{RpcConfig, WireValue};
+use pilgrim_rpc::RpcConfig;
+use pilgrim_sim::json::{
+    decode_field, parse_document, render_document, Adapter, Codec, DecodeError, Pairs,
+};
 use pilgrim_sim::{first_divergence, Divergence, Json, SimDuration, TraceEvent};
 
 use crate::agent::AgentConfig;
@@ -95,179 +98,37 @@ pub struct Recipe {
     /// first stimulus — native service installs (nameserver, aotman),
     /// trace filters, and the like. These cannot be journalled as
     /// stimuli (they register native handler closures), so the recipe
-    /// records `(kind, params)` markers and [`replay_with_setup`] asks
-    /// its caller to re-perform them. A plain [`replay`] of a
-    /// setup-bearing artifact fails with a message naming the kinds.
+    /// records `(kind, params)` markers and [`replay`] asks its caller's
+    /// installer to re-perform them. Replaying a setup-bearing artifact
+    /// without an installer fails with a message naming the kinds.
     pub setup: Vec<(String, Json)>,
 }
 
+pilgrim_sim::json_codec! {
+    struct Recipe as "recipe" {
+        nodes: "nodes",
+        seed: "seed",
+        window: "window_us",
+        default_source: "default_program",
+        per_node_source: "programs" with Pairs("node", "source"),
+        net: "net",
+        rpc: "rpc",
+        node_cfg: "node_cfg",
+        agent_cfg: "agent",
+        with_debugger: "debugger",
+        with_agents: "agents",
+        // The keys below are absent in artifacts recorded before the
+        // knob existed; those worlds ran at the then-fixed default.
+        tsdb: "tsdb" = false,
+        trace_sample: "trace_sample" = 0,
+        blackbox_capacity: "blackbox_capacity" = pilgrim_sim::BLACKBOX_CAPACITY,
+        coarse_interval: "coarse_interval" = crate::world::TSDB_COARSE_INTERVAL,
+        coarse_budget: "coarse_budget" = crate::world::TSDB_COARSE_BUDGET,
+        setup: "setup" with Pairs("kind", "params") = Vec::new(),
+    }
+}
+
 impl Recipe {
-    /// The recipe as a JSON object.
-    pub fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("nodes", Json::Int(self.nodes as i128)),
-            ("seed", Json::Int(self.seed as i128)),
-            ("window_us", Json::Int(self.window.as_micros() as i128)),
-            (
-                "default_program",
-                match &self.default_source {
-                    Some(s) => Json::Str(s.clone()),
-                    None => Json::Null,
-                },
-            ),
-            (
-                "programs",
-                Json::Array(
-                    self.per_node_source
-                        .iter()
-                        .map(|(node, src)| {
-                            Json::obj(vec![
-                                ("node", Json::Int(*node as i128)),
-                                ("source", Json::Str(src.clone())),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            ("net", self.net.to_json()),
-            ("rpc", self.rpc.to_json()),
-            ("node_cfg", self.node_cfg.to_json()),
-            ("agent", self.agent_cfg.to_json()),
-            ("debugger", Json::Bool(self.with_debugger)),
-            ("agents", Json::Bool(self.with_agents)),
-            ("tsdb", Json::Bool(self.tsdb)),
-            ("trace_sample", Json::Int(self.trace_sample as i128)),
-            (
-                "blackbox_capacity",
-                Json::Int(self.blackbox_capacity as i128),
-            ),
-            ("coarse_interval", Json::Int(self.coarse_interval as i128)),
-            ("coarse_budget", Json::Int(self.coarse_budget as i128)),
-            (
-                "setup",
-                Json::Array(
-                    self.setup
-                        .iter()
-                        .map(|(kind, params)| {
-                            Json::obj(vec![
-                                ("kind", Json::Str(kind.clone())),
-                                ("params", params.clone()),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-        ])
-    }
-
-    /// Rebuilds a recipe from [`to_json`](Recipe::to_json) output.
-    ///
-    /// # Errors
-    ///
-    /// Missing or mistyped fields.
-    pub fn from_json(v: &Json) -> Result<Recipe, String> {
-        let u32_field = |field: &str| -> Result<u32, String> {
-            v.get(field)
-                .and_then(Json::as_u64)
-                .and_then(|n| u32::try_from(n).ok())
-                .ok_or_else(|| format!("recipe: missing `{field}`"))
-        };
-        let default_source = match v.get("default_program") {
-            None | Some(Json::Null) => None,
-            Some(s) => Some(
-                s.as_str()
-                    .ok_or("recipe: non-string `default_program`")?
-                    .to_string(),
-            ),
-        };
-        let mut per_node_source = Vec::new();
-        for p in v
-            .get("programs")
-            .and_then(Json::as_array)
-            .ok_or("recipe: missing `programs`")?
-        {
-            let node = p
-                .get("node")
-                .and_then(Json::as_u64)
-                .and_then(|n| u32::try_from(n).ok())
-                .ok_or("recipe: program entry missing `node`")?;
-            let source = p
-                .get("source")
-                .and_then(Json::as_str)
-                .ok_or("recipe: program entry missing `source`")?;
-            per_node_source.push((node, source.to_string()));
-        }
-        Ok(Recipe {
-            nodes: u32_field("nodes")?,
-            seed: v
-                .get("seed")
-                .and_then(Json::as_u64)
-                .ok_or("recipe: missing `seed`")?,
-            window: v
-                .get("window_us")
-                .and_then(Json::as_u64)
-                .map(SimDuration::from_micros)
-                .ok_or("recipe: missing `window_us`")?,
-            default_source,
-            per_node_source,
-            net: NetworkConfig::from_json(v.get("net").ok_or("recipe: missing `net`")?)?,
-            rpc: RpcConfig::from_json(v.get("rpc").ok_or("recipe: missing `rpc`")?)?,
-            node_cfg: NodeConfig::from_json(
-                v.get("node_cfg").ok_or("recipe: missing `node_cfg`")?,
-            )?,
-            agent_cfg: AgentConfig::from_json(v.get("agent").ok_or("recipe: missing `agent`")?)?,
-            with_debugger: v
-                .get("debugger")
-                .and_then(Json::as_bool)
-                .ok_or("recipe: missing `debugger`")?,
-            with_agents: v
-                .get("agents")
-                .and_then(Json::as_bool)
-                .ok_or("recipe: missing `agents`")?,
-            // Absent in artifacts recorded before the time-series store
-            // existed; those worlds ran without it.
-            tsdb: v.get("tsdb").and_then(Json::as_bool).unwrap_or(false),
-            // The four observability knobs below are absent in artifacts
-            // recorded before they became tunable; those worlds ran at
-            // the then-hard-coded defaults.
-            trace_sample: v
-                .get("trace_sample")
-                .and_then(Json::as_u64)
-                .and_then(|n| u32::try_from(n).ok())
-                .unwrap_or(0),
-            blackbox_capacity: v
-                .get("blackbox_capacity")
-                .and_then(Json::as_u64)
-                .map(|n| n as usize)
-                .unwrap_or(pilgrim_sim::BLACKBOX_CAPACITY),
-            coarse_interval: v
-                .get("coarse_interval")
-                .and_then(Json::as_u64)
-                .unwrap_or(crate::world::TSDB_COARSE_INTERVAL),
-            coarse_budget: v
-                .get("coarse_budget")
-                .and_then(Json::as_u64)
-                .map(|n| n as usize)
-                .unwrap_or(crate::world::TSDB_COARSE_BUDGET),
-            // Absent in artifacts recorded before setup markers existed.
-            setup: match v.get("setup").and_then(Json::as_array) {
-                None => Vec::new(),
-                Some(entries) => {
-                    let mut setup = Vec::new();
-                    for e in entries {
-                        let kind = e
-                            .get("kind")
-                            .and_then(Json::as_str)
-                            .ok_or("recipe: setup entry missing `kind`")?;
-                        let params = e.get("params").cloned().unwrap_or(Json::Null);
-                        setup.push((kind.to_string(), params));
-                    }
-                    setup
-                }
-            },
-        })
-    }
-
     /// Builds a fresh world from the recipe.
     ///
     /// # Errors
@@ -428,466 +289,117 @@ pub enum Stimulus {
     },
 }
 
-fn value_to_json(v: &Value) -> Json {
-    match v {
-        Value::Null => Json::obj(vec![("kind", Json::Str("null".into()))]),
-        Value::Int(i) => Json::obj(vec![
-            ("kind", Json::Str("int".into())),
-            ("value", Json::Int(*i as i128)),
-        ]),
-        Value::Bool(b) => Json::obj(vec![
-            ("kind", Json::Str("bool".into())),
-            ("value", Json::Bool(*b)),
-        ]),
-        Value::Str(s) => Json::obj(vec![
-            ("kind", Json::Str("str".into())),
-            ("value", Json::Str(s.to_string())),
-        ]),
-        // Handles and heap references are node-local run-time state; a
-        // journal containing one cannot be replayed and says so on load.
-        Value::Sem(_) | Value::Mutex(_) | Value::Ref(_) => {
-            Json::obj(vec![("kind", Json::Str("opaque".into()))])
-        }
+pilgrim_sim::json_codec! {
+    enum Stimulus as "stimulus", tag "op" {
+        Spawn = "spawn" { node: "node", entry: "entry", args: "args" with SpawnArgs },
+        RunUntil = "run_until" { until_us: "until_us" },
+        RunFor = "run_for" { dur_us: "dur_us" },
+        RunUntilIdle = "run_until_idle" { limit_us: "limit_us" },
+        Connect = "connect" { nodes: "nodes", force: "force" },
+        Disconnect = "disconnect",
+        Abandon = "abandon",
+        Request = "request" { node: "node", req: "req" },
+        DrainEvents = "drain_events",
+        WaitForStop = "wait_for_stop" { timeout_us: "timeout_us" },
+        BreakAtLine = "break_at_line" { node: "node", line: "line" },
+        BreakAtProc = "break_at_proc" { node: "node", name: "name" },
+        ClearBreakpoint = "clear_breakpoint" { node: "node", bp: "bp" },
+        HaltAll = "halt_all" { origin: "origin" },
+        ResumeAll = "resume_all",
+        Diagnose = "diagnose" { node: "node", call_id: "call_id" },
+        DropNext = "drop_next" { src: "src", dst: "dst", count: "count" },
+        SetNodeUp = "set_node_up" { node: "node", up: "up" },
+        SetLinkUp = "set_link_up" { a: "a", b: "b", up: "up" },
+        ArmWatch = "arm_watch" { expr: "expr" },
+        ClearWatch = "clear_watch" { id: "id" },
     }
 }
 
-fn value_from_json(v: &Json) -> Result<Value, String> {
-    let kind = v
-        .get("kind")
-        .and_then(Json::as_str)
-        .ok_or("value: missing `kind`")?;
-    Ok(match kind {
+pilgrim_sim::json_codec! {
+    enum AgentRequest as "request", tag "type" {
+        Ping = "Ping",
+        SetBreakpoint = "SetBreakpoint" { proc_id: "proc_id", pc: "pc" },
+        ClearBreakpoint = "ClearBreakpoint" { bp: "bp" },
+        ListBreakpoints = "ListBreakpoints",
+        HaltAll = "HaltAll",
+        ResumeAll = "ResumeAll",
+        ListProcesses = "ListProcesses",
+        ProcessState = "ProcessState" { pid: "pid" },
+        ReadStack = "ReadStack" { pid: "pid" },
+        ReadVar = "ReadVar" { pid: "pid", frame: "frame", slot: "slot" },
+        WriteVar = "WriteVar" { pid: "pid", frame: "frame", slot: "slot", value: "value" },
+        ReadGlobal = "ReadGlobal" { slot: "slot" },
+        WriteGlobal = "WriteGlobal" { slot: "slot", value: "value" },
+        PrintVar = "PrintVar" { pid: "pid", frame: "frame", slot: "slot" },
+        Invoke = "Invoke" { proc: "proc", args: "args" },
+        StepOver = "StepOver" { pid: "pid" },
+        ContinueProcess = "ContinueProcess" { pid: "pid" },
+        ForceRunnable = "ForceRunnable" { pid: "pid" },
+        HaltProcess = "HaltProcess" { pid: "pid" },
+        ResumeProcess = "ResumeProcess" { pid: "pid" },
+        RpcStatus = "RpcStatus" { pid: "pid" },
+        RecentCalls = "RecentCalls",
+        RecentServed = "RecentServed",
+        ServingProcess = "ServingProcess" { call_id: "call_id" },
+        ServerKnowledge = "ServerKnowledge" { call_id: "call_id" },
+        ClientProcess = "ClientProcess" { call_id: "call_id" },
+        ReadConsole = "ReadConsole" { from: "from" },
+    }
+}
+
+/// Spawn arguments. [`Value`] belongs to the dependency-free cclu crate,
+/// and the orphan rule forbids implementing the sim crate's `Codec` for
+/// it here, so its two functions are plugged into the `args` field by
+/// hand.
+struct SpawnArgs;
+
+impl Adapter<Vec<Value>> for SpawnArgs {
+    fn encode(&self, args: &Vec<Value>) -> Json {
+        Json::Array(args.iter().map(value_to_json).collect())
+    }
+
+    fn decode(&self, v: &Json) -> Result<Vec<Value>, DecodeError> {
+        let args = v.as_array().ok_or(DecodeError::Invalid)?;
+        args.iter().map(value_from_json).collect()
+    }
+}
+
+fn value_to_json(v: &Value) -> Json {
+    let (kind, value) = match v {
+        Value::Null => ("null", None),
+        Value::Int(i) => ("int", Some(i.encode())),
+        Value::Bool(b) => ("bool", Some(b.encode())),
+        Value::Str(s) => ("str", Some(s.encode())),
+        // Handles and heap references are node-local run-time state; a
+        // journal containing one cannot be replayed and says so on load.
+        Value::Sem(_) | Value::Mutex(_) | Value::Ref(_) => ("opaque", None),
+    };
+    let mut members = vec![("kind", Json::Str(kind.to_string()))];
+    members.extend(value.map(|v| ("value", v)));
+    Json::obj(members)
+}
+
+fn value_from_json(v: &Json) -> Result<Value, DecodeError> {
+    let kind: String = decode_field(v, &["value"], "kind", Codec::decode, None)?;
+    let what = ["value", kind.as_str()];
+    Ok(match kind.as_str() {
         "null" => Value::Null,
-        "int" => Value::Int(
-            v.get("value")
-                .and_then(Json::as_i64)
-                .ok_or("value: missing int `value`")?,
-        ),
-        "bool" => Value::Bool(
-            v.get("value")
-                .and_then(Json::as_bool)
-                .ok_or("value: missing bool `value`")?,
-        ),
-        "str" => Value::Str(
-            v.get("value")
-                .and_then(Json::as_str)
-                .ok_or("value: missing str `value`")?
-                .into(),
-        ),
+        "int" => Value::Int(decode_field(v, &what, "value", Codec::decode, None)?),
+        "bool" => Value::Bool(decode_field(v, &what, "value", Codec::decode, None)?),
+        "str" => Value::Str(decode_field(v, &what, "value", Codec::decode, None)?),
         "opaque" => {
-            return Err(
+            return Err(DecodeError::Message(
                 "value: a spawn argument was a node-local handle (semaphore, mutex, or heap \
                  reference); such journals cannot be replayed"
                     .to_string(),
-            )
+            ))
         }
-        other => return Err(format!("value: unknown kind `{other}`")),
+        other => {
+            return Err(DecodeError::Message(format!(
+                "value: unknown kind `{other}`"
+            )))
+        }
     })
-}
-
-fn request_to_json(req: &AgentRequest) -> Json {
-    let t = |name: &str| ("type", Json::Str(name.to_string()));
-    let u = |v: u64| Json::Int(v as i128);
-    match req {
-        AgentRequest::Ping => Json::obj(vec![t("Ping")]),
-        AgentRequest::SetBreakpoint { proc_id, pc } => Json::obj(vec![
-            t("SetBreakpoint"),
-            ("proc_id", u(*proc_id as u64)),
-            ("pc", u(*pc as u64)),
-        ]),
-        AgentRequest::ClearBreakpoint { bp } => {
-            Json::obj(vec![t("ClearBreakpoint"), ("bp", u(*bp as u64))])
-        }
-        AgentRequest::ListBreakpoints => Json::obj(vec![t("ListBreakpoints")]),
-        AgentRequest::HaltAll => Json::obj(vec![t("HaltAll")]),
-        AgentRequest::ResumeAll => Json::obj(vec![t("ResumeAll")]),
-        AgentRequest::ListProcesses => Json::obj(vec![t("ListProcesses")]),
-        AgentRequest::ProcessState { pid } => Json::obj(vec![t("ProcessState"), ("pid", u(*pid))]),
-        AgentRequest::ReadStack { pid } => Json::obj(vec![t("ReadStack"), ("pid", u(*pid))]),
-        AgentRequest::ReadVar { pid, frame, slot } => Json::obj(vec![
-            t("ReadVar"),
-            ("pid", u(*pid)),
-            ("frame", u(*frame as u64)),
-            ("slot", u(*slot as u64)),
-        ]),
-        AgentRequest::WriteVar {
-            pid,
-            frame,
-            slot,
-            value,
-        } => Json::obj(vec![
-            t("WriteVar"),
-            ("pid", u(*pid)),
-            ("frame", u(*frame as u64)),
-            ("slot", u(*slot as u64)),
-            ("value", value.to_json()),
-        ]),
-        AgentRequest::ReadGlobal { slot } => {
-            Json::obj(vec![t("ReadGlobal"), ("slot", u(*slot as u64))])
-        }
-        AgentRequest::WriteGlobal { slot, value } => Json::obj(vec![
-            t("WriteGlobal"),
-            ("slot", u(*slot as u64)),
-            ("value", value.to_json()),
-        ]),
-        AgentRequest::PrintVar { pid, frame, slot } => Json::obj(vec![
-            t("PrintVar"),
-            ("pid", u(*pid)),
-            ("frame", u(*frame as u64)),
-            ("slot", u(*slot as u64)),
-        ]),
-        AgentRequest::Invoke { proc, args } => Json::obj(vec![
-            t("Invoke"),
-            ("proc", Json::Str(proc.clone())),
-            (
-                "args",
-                Json::Array(args.iter().map(WireValue::to_json).collect()),
-            ),
-        ]),
-        AgentRequest::StepOver { pid } => Json::obj(vec![t("StepOver"), ("pid", u(*pid))]),
-        AgentRequest::ContinueProcess { pid } => {
-            Json::obj(vec![t("ContinueProcess"), ("pid", u(*pid))])
-        }
-        AgentRequest::ForceRunnable { pid } => {
-            Json::obj(vec![t("ForceRunnable"), ("pid", u(*pid))])
-        }
-        AgentRequest::HaltProcess { pid } => Json::obj(vec![t("HaltProcess"), ("pid", u(*pid))]),
-        AgentRequest::ResumeProcess { pid } => {
-            Json::obj(vec![t("ResumeProcess"), ("pid", u(*pid))])
-        }
-        AgentRequest::RpcStatus { pid } => Json::obj(vec![t("RpcStatus"), ("pid", u(*pid))]),
-        AgentRequest::RecentCalls => Json::obj(vec![t("RecentCalls")]),
-        AgentRequest::RecentServed => Json::obj(vec![t("RecentServed")]),
-        AgentRequest::ServingProcess { call_id } => {
-            Json::obj(vec![t("ServingProcess"), ("call_id", u(*call_id))])
-        }
-        AgentRequest::ServerKnowledge { call_id } => {
-            Json::obj(vec![t("ServerKnowledge"), ("call_id", u(*call_id))])
-        }
-        AgentRequest::ClientProcess { call_id } => {
-            Json::obj(vec![t("ClientProcess"), ("call_id", u(*call_id))])
-        }
-        AgentRequest::ReadConsole { from } => {
-            Json::obj(vec![t("ReadConsole"), ("from", u(*from as u64))])
-        }
-    }
-}
-
-fn request_from_json(v: &Json) -> Result<AgentRequest, String> {
-    let ty = v
-        .get("type")
-        .and_then(Json::as_str)
-        .ok_or("request: missing `type`")?;
-    let u = |field: &str| -> Result<u64, String> {
-        v.get(field)
-            .and_then(Json::as_u64)
-            .ok_or_else(|| format!("request {ty}: missing `{field}`"))
-    };
-    let u16f = |field: &str| -> Result<u16, String> {
-        u(field).and_then(|n| {
-            u16::try_from(n).map_err(|_| format!("request {ty}: `{field}` out of range"))
-        })
-    };
-    let u32f = |field: &str| -> Result<u32, String> {
-        u(field).and_then(|n| {
-            u32::try_from(n).map_err(|_| format!("request {ty}: `{field}` out of range"))
-        })
-    };
-    let wire = |field: &str| -> Result<WireValue, String> {
-        WireValue::from_json(
-            v.get(field)
-                .ok_or_else(|| format!("request {ty}: missing `{field}`"))?,
-        )
-    };
-    Ok(match ty {
-        "Ping" => AgentRequest::Ping,
-        "SetBreakpoint" => AgentRequest::SetBreakpoint {
-            proc_id: u16f("proc_id")?,
-            pc: u32f("pc")?,
-        },
-        "ClearBreakpoint" => AgentRequest::ClearBreakpoint { bp: u16f("bp")? },
-        "ListBreakpoints" => AgentRequest::ListBreakpoints,
-        "HaltAll" => AgentRequest::HaltAll,
-        "ResumeAll" => AgentRequest::ResumeAll,
-        "ListProcesses" => AgentRequest::ListProcesses,
-        "ProcessState" => AgentRequest::ProcessState { pid: u("pid")? },
-        "ReadStack" => AgentRequest::ReadStack { pid: u("pid")? },
-        "ReadVar" => AgentRequest::ReadVar {
-            pid: u("pid")?,
-            frame: u32f("frame")?,
-            slot: u16f("slot")?,
-        },
-        "WriteVar" => AgentRequest::WriteVar {
-            pid: u("pid")?,
-            frame: u32f("frame")?,
-            slot: u16f("slot")?,
-            value: wire("value")?,
-        },
-        "ReadGlobal" => AgentRequest::ReadGlobal {
-            slot: u16f("slot")?,
-        },
-        "WriteGlobal" => AgentRequest::WriteGlobal {
-            slot: u16f("slot")?,
-            value: wire("value")?,
-        },
-        "PrintVar" => AgentRequest::PrintVar {
-            pid: u("pid")?,
-            frame: u32f("frame")?,
-            slot: u16f("slot")?,
-        },
-        "Invoke" => AgentRequest::Invoke {
-            proc: v
-                .get("proc")
-                .and_then(Json::as_str)
-                .ok_or("request Invoke: missing `proc`")?
-                .to_string(),
-            args: v
-                .get("args")
-                .and_then(Json::as_array)
-                .ok_or("request Invoke: missing `args`")?
-                .iter()
-                .map(WireValue::from_json)
-                .collect::<Result<_, _>>()?,
-        },
-        "StepOver" => AgentRequest::StepOver { pid: u("pid")? },
-        "ContinueProcess" => AgentRequest::ContinueProcess { pid: u("pid")? },
-        "ForceRunnable" => AgentRequest::ForceRunnable { pid: u("pid")? },
-        "HaltProcess" => AgentRequest::HaltProcess { pid: u("pid")? },
-        "ResumeProcess" => AgentRequest::ResumeProcess { pid: u("pid")? },
-        "RpcStatus" => AgentRequest::RpcStatus { pid: u("pid")? },
-        "RecentCalls" => AgentRequest::RecentCalls,
-        "RecentServed" => AgentRequest::RecentServed,
-        "ServingProcess" => AgentRequest::ServingProcess {
-            call_id: u("call_id")?,
-        },
-        "ServerKnowledge" => AgentRequest::ServerKnowledge {
-            call_id: u("call_id")?,
-        },
-        "ClientProcess" => AgentRequest::ClientProcess {
-            call_id: u("call_id")?,
-        },
-        "ReadConsole" => AgentRequest::ReadConsole {
-            from: u32f("from")?,
-        },
-        other => return Err(format!("request: unknown type `{other}`")),
-    })
-}
-
-impl Stimulus {
-    /// The stimulus as a tagged JSON object.
-    pub fn to_json(&self) -> Json {
-        let op = |name: &str| ("op", Json::Str(name.to_string()));
-        let u = |v: u64| Json::Int(v as i128);
-        match self {
-            Stimulus::Spawn { node, entry, args } => Json::obj(vec![
-                op("spawn"),
-                ("node", u(*node as u64)),
-                ("entry", Json::Str(entry.clone())),
-                (
-                    "args",
-                    Json::Array(args.iter().map(value_to_json).collect()),
-                ),
-            ]),
-            Stimulus::RunUntil { until_us } => {
-                Json::obj(vec![op("run_until"), ("until_us", u(*until_us))])
-            }
-            Stimulus::RunFor { dur_us } => Json::obj(vec![op("run_for"), ("dur_us", u(*dur_us))]),
-            Stimulus::RunUntilIdle { limit_us } => {
-                Json::obj(vec![op("run_until_idle"), ("limit_us", u(*limit_us))])
-            }
-            Stimulus::Connect { nodes, force } => Json::obj(vec![
-                op("connect"),
-                (
-                    "nodes",
-                    Json::Array(nodes.iter().map(|n| u(*n as u64)).collect()),
-                ),
-                ("force", Json::Bool(*force)),
-            ]),
-            Stimulus::Disconnect => Json::obj(vec![op("disconnect")]),
-            Stimulus::Abandon => Json::obj(vec![op("abandon")]),
-            Stimulus::Request { node, req } => Json::obj(vec![
-                op("request"),
-                ("node", u(*node as u64)),
-                ("req", request_to_json(req)),
-            ]),
-            Stimulus::DrainEvents => Json::obj(vec![op("drain_events")]),
-            Stimulus::WaitForStop { timeout_us } => {
-                Json::obj(vec![op("wait_for_stop"), ("timeout_us", u(*timeout_us))])
-            }
-            Stimulus::BreakAtLine { node, line } => Json::obj(vec![
-                op("break_at_line"),
-                ("node", u(*node as u64)),
-                ("line", u(*line as u64)),
-            ]),
-            Stimulus::BreakAtProc { node, name } => Json::obj(vec![
-                op("break_at_proc"),
-                ("node", u(*node as u64)),
-                ("name", Json::Str(name.clone())),
-            ]),
-            Stimulus::ClearBreakpoint { node, bp } => Json::obj(vec![
-                op("clear_breakpoint"),
-                ("node", u(*node as u64)),
-                ("bp", u(*bp as u64)),
-            ]),
-            Stimulus::HaltAll { origin } => {
-                Json::obj(vec![op("halt_all"), ("origin", u(*origin as u64))])
-            }
-            Stimulus::ResumeAll => Json::obj(vec![op("resume_all")]),
-            Stimulus::Diagnose { node, call_id } => Json::obj(vec![
-                op("diagnose"),
-                ("node", u(*node as u64)),
-                ("call_id", u(*call_id)),
-            ]),
-            Stimulus::DropNext { src, dst, count } => Json::obj(vec![
-                op("drop_next"),
-                ("src", u(*src as u64)),
-                ("dst", u(*dst as u64)),
-                ("count", u(*count as u64)),
-            ]),
-            Stimulus::SetNodeUp { node, up } => Json::obj(vec![
-                op("set_node_up"),
-                ("node", u(*node as u64)),
-                ("up", Json::Bool(*up)),
-            ]),
-            Stimulus::SetLinkUp { a, b, up } => Json::obj(vec![
-                op("set_link_up"),
-                ("a", u(*a as u64)),
-                ("b", u(*b as u64)),
-                ("up", Json::Bool(*up)),
-            ]),
-            Stimulus::ArmWatch { expr } => {
-                Json::obj(vec![op("arm_watch"), ("expr", Json::Str(expr.clone()))])
-            }
-            Stimulus::ClearWatch { id } => Json::obj(vec![op("clear_watch"), ("id", u(*id))]),
-        }
-    }
-
-    /// Rebuilds a stimulus from [`to_json`](Stimulus::to_json) output.
-    ///
-    /// # Errors
-    ///
-    /// Unknown ops and missing or mistyped fields.
-    pub fn from_json(v: &Json) -> Result<Stimulus, String> {
-        let op = v
-            .get("op")
-            .and_then(Json::as_str)
-            .ok_or("stimulus: missing `op`")?;
-        let u = |field: &str| -> Result<u64, String> {
-            v.get(field)
-                .and_then(Json::as_u64)
-                .ok_or_else(|| format!("stimulus {op}: missing `{field}`"))
-        };
-        let n32 = |field: &str| -> Result<u32, String> {
-            u(field).and_then(|n| {
-                u32::try_from(n).map_err(|_| format!("stimulus {op}: `{field}` out of range"))
-            })
-        };
-        let b = |field: &str| -> Result<bool, String> {
-            v.get(field)
-                .and_then(Json::as_bool)
-                .ok_or_else(|| format!("stimulus {op}: missing `{field}`"))
-        };
-        Ok(match op {
-            "spawn" => Stimulus::Spawn {
-                node: n32("node")?,
-                entry: v
-                    .get("entry")
-                    .and_then(Json::as_str)
-                    .ok_or("stimulus spawn: missing `entry`")?
-                    .to_string(),
-                args: v
-                    .get("args")
-                    .and_then(Json::as_array)
-                    .ok_or("stimulus spawn: missing `args`")?
-                    .iter()
-                    .map(value_from_json)
-                    .collect::<Result<_, _>>()?,
-            },
-            "run_until" => Stimulus::RunUntil {
-                until_us: u("until_us")?,
-            },
-            "run_for" => Stimulus::RunFor {
-                dur_us: u("dur_us")?,
-            },
-            "run_until_idle" => Stimulus::RunUntilIdle {
-                limit_us: u("limit_us")?,
-            },
-            "connect" => Stimulus::Connect {
-                nodes: v
-                    .get("nodes")
-                    .and_then(Json::as_array)
-                    .ok_or("stimulus connect: missing `nodes`")?
-                    .iter()
-                    .map(|n| {
-                        n.as_u64()
-                            .and_then(|n| u32::try_from(n).ok())
-                            .ok_or("stimulus connect: bad node".to_string())
-                    })
-                    .collect::<Result<_, _>>()?,
-                force: b("force")?,
-            },
-            "disconnect" => Stimulus::Disconnect,
-            "abandon" => Stimulus::Abandon,
-            "request" => Stimulus::Request {
-                node: n32("node")?,
-                req: request_from_json(v.get("req").ok_or("stimulus request: missing `req`")?)?,
-            },
-            "drain_events" => Stimulus::DrainEvents,
-            "wait_for_stop" => Stimulus::WaitForStop {
-                timeout_us: u("timeout_us")?,
-            },
-            "break_at_line" => Stimulus::BreakAtLine {
-                node: n32("node")?,
-                line: n32("line")?,
-            },
-            "break_at_proc" => Stimulus::BreakAtProc {
-                node: n32("node")?,
-                name: v
-                    .get("name")
-                    .and_then(Json::as_str)
-                    .ok_or("stimulus break_at_proc: missing `name`")?
-                    .to_string(),
-            },
-            "clear_breakpoint" => Stimulus::ClearBreakpoint {
-                node: n32("node")?,
-                bp: u("bp").and_then(|n| {
-                    u16::try_from(n)
-                        .map_err(|_| "stimulus clear_breakpoint: `bp` out of range".to_string())
-                })?,
-            },
-            "halt_all" => Stimulus::HaltAll {
-                origin: n32("origin")?,
-            },
-            "resume_all" => Stimulus::ResumeAll,
-            "diagnose" => Stimulus::Diagnose {
-                node: n32("node")?,
-                call_id: u("call_id")?,
-            },
-            "drop_next" => Stimulus::DropNext {
-                src: n32("src")?,
-                dst: n32("dst")?,
-                count: n32("count")?,
-            },
-            "set_node_up" => Stimulus::SetNodeUp {
-                node: n32("node")?,
-                up: b("up")?,
-            },
-            "set_link_up" => Stimulus::SetLinkUp {
-                a: n32("a")?,
-                b: n32("b")?,
-                up: b("up")?,
-            },
-            "arm_watch" => Stimulus::ArmWatch {
-                expr: v
-                    .get("expr")
-                    .and_then(Json::as_str)
-                    .ok_or("stimulus arm_watch: missing `expr`")?
-                    .to_string(),
-            },
-            "clear_watch" => Stimulus::ClearWatch { id: u("id")? },
-            other => return Err(format!("stimulus: unknown op `{other}`")),
-        })
-    }
 }
 
 /// A self-describing recording: recipe + stimulus journal + the trace the
@@ -907,31 +419,21 @@ pub struct Artifact {
     pub profile: Option<String>,
 }
 
+pilgrim_sim::json_codec! {
+    struct Artifact as "artifact" {
+        recipe: "recipe",
+        stimuli: "stimuli",
+        trace: "trace",
+        // Absent in artifacts recorded before profiling existed.
+        profile: "profile",
+    }
+}
+
 impl Artifact {
     /// Renders the artifact as one self-describing JSON document
     /// (trailing newline included).
     pub fn render(&self) -> String {
-        let doc = Json::obj(vec![
-            ("format", Json::Str(FORMAT.to_string())),
-            ("version", Json::Int(VERSION as i128)),
-            ("recipe", self.recipe.to_json()),
-            (
-                "stimuli",
-                Json::Array(self.stimuli.iter().map(Stimulus::to_json).collect()),
-            ),
-            ("trace", Json::Str(self.trace.clone())),
-            (
-                "profile",
-                match &self.profile {
-                    Some(p) => Json::Str(p.clone()),
-                    None => Json::Null,
-                },
-            ),
-        ]);
-        let mut out = String::new();
-        doc.write(&mut out);
-        out.push('\n');
-        out
+        render_document(FORMAT, VERSION, self.to_json())
     }
 
     /// Parses an artifact rendered by [`render`](Artifact::render).
@@ -940,48 +442,8 @@ impl Artifact {
     ///
     /// Malformed JSON, wrong format tag or version, or bad sections.
     pub fn parse(text: &str) -> Result<Artifact, ReplayError> {
-        let doc = Json::parse(text).map_err(|e| ReplayError::Format(e.to_string()))?;
-        let format = doc.get("format").and_then(Json::as_str).unwrap_or("");
-        if format != FORMAT {
-            return Err(ReplayError::Format(format!(
-                "not a {FORMAT} artifact (format tag `{format}`)"
-            )));
-        }
-        let version = doc.get("version").and_then(Json::as_u64).unwrap_or(0);
-        if version != VERSION as u64 {
-            return Err(ReplayError::Format(format!(
-                "unsupported artifact version {version} (expected {VERSION})"
-            )));
-        }
-        let recipe = Recipe::from_json(
-            doc.get("recipe")
-                .ok_or_else(|| ReplayError::Format("missing `recipe`".to_string()))?,
-        )
-        .map_err(ReplayError::Format)?;
-        let mut stimuli = Vec::new();
-        for s in doc
-            .get("stimuli")
-            .and_then(Json::as_array)
-            .ok_or_else(|| ReplayError::Format("missing `stimuli`".to_string()))?
-        {
-            stimuli.push(Stimulus::from_json(s).map_err(ReplayError::Format)?);
-        }
-        let trace = doc
-            .get("trace")
-            .and_then(Json::as_str)
-            .ok_or_else(|| ReplayError::Format("missing `trace`".to_string()))?
-            .to_string();
-        // Absent in artifacts recorded before profiling existed; optional.
-        let profile = doc
-            .get("profile")
-            .and_then(Json::as_str)
-            .map(str::to_string);
-        Ok(Artifact {
-            recipe,
-            stimuli,
-            trace,
-            profile,
-        })
+        let doc = parse_document(text, FORMAT, VERSION, "artifact").map_err(ReplayError::Format)?;
+        Artifact::from_json(&doc).map_err(ReplayError::Format)
     }
 }
 
@@ -1027,73 +489,51 @@ pub struct ReplayReport {
     pub profile_identical: Option<bool>,
 }
 
-/// Rebuilds the world named by `artifact` and re-runs its journal, then
-/// diffs the fresh trace against the recorded one.
-///
-/// # Errors
-///
-/// [`ReplayError::Build`] when the recipe no longer builds;
-/// [`ReplayError::Stimulus`] when a journal entry cannot be applied
-/// (e.g. a spawn argument that was recorded as opaque).
-pub fn replay(artifact: &Artifact) -> Result<ReplayReport, ReplayError> {
-    replay_with_threads(artifact, 1)
-}
+/// The kind of callback [`replay`] uses to re-perform a recipe's
+/// Rust-side setup steps against the freshly built world.
+pub type SetupInstaller<'a> = dyn FnMut(&mut World, &str, &Json) -> Result<(), String> + 'a;
 
-/// [`replay`], but stepping the rebuilt world on `threads` worker threads.
+/// Rebuilds the world named by `artifact`, re-runs its journal, and diffs
+/// the fresh trace against the recorded one.
 ///
-/// Thread count is an execution knob, not part of the recorded recipe, so
-/// a run recorded serially must replay byte-identically in parallel and
-/// vice versa — this entry point is how the parallel gate proves it.
+/// The rebuilt world steps on `threads` worker threads. Thread count is
+/// an execution knob, not part of the recorded recipe, so a run recorded
+/// serially must replay byte-identically in parallel and vice versa.
+///
+/// `installer` re-performs the recipe's Rust-side [`Recipe::setup`] steps
+/// (native service handlers, trace filters): it is called once per
+/// recorded `(kind, params)` entry, in order, right after the world is
+/// built and before any stimulus is applied. Without one, a
+/// setup-bearing artifact is refused with an error naming its kinds.
 ///
 /// # Errors
 ///
-/// Exactly those of [`replay`].
-pub fn replay_with_threads(
+/// [`ReplayError::Format`] for a setup-bearing artifact without an
+/// installer or an unparsable trace; [`ReplayError::Build`] when the
+/// recipe no longer builds; [`ReplayError::Stimulus`] when the installer
+/// rejects a setup entry or a journal entry cannot be applied (e.g. a
+/// spawn argument recorded as opaque, or an out-of-range station).
+pub fn replay(
     artifact: &Artifact,
     threads: usize,
+    installer: Option<&mut SetupInstaller<'_>>,
 ) -> Result<ReplayReport, ReplayError> {
-    if !artifact.recipe.setup.is_empty() {
-        let kinds: Vec<&str> = artifact
-            .recipe
-            .setup
-            .iter()
-            .map(|(k, _)| k.as_str())
-            .collect();
+    let setup = &artifact.recipe.setup;
+    if installer.is_none() && !setup.is_empty() {
+        let kinds: Vec<&str> = setup.iter().map(|(k, _)| k.as_str()).collect();
         return Err(ReplayError::Format(format!(
-            "artifact needs Rust-side setup ({}); replay it with \
-             `replay_with_setup` and an installer that knows these kinds",
+            "artifact needs Rust-side setup ({}); replay it with a setup installer \
+             that knows these kinds",
             kinds.join(", ")
         )));
     }
-    replay_with_setup(artifact, threads, &mut |_, kind, _| {
-        Err(format!("unexpected setup kind `{kind}`"))
-    })
-}
-
-/// The kind of callback [`replay_with_setup`] uses to re-perform a
-/// recipe's Rust-side setup steps against the freshly built world.
-pub type SetupInstaller<'a> = dyn FnMut(&mut World, &str, &Json) -> Result<(), String> + 'a;
-
-/// [`replay_with_threads`] for artifacts whose recipe carries Rust-side
-/// [`Recipe::setup`] steps (native service handlers, trace filters). The
-/// `installer` is called once per recorded `(kind, params)` entry, in
-/// order, right after the world is built and before any stimulus is
-/// applied — it must re-create exactly what the recording run did.
-///
-/// # Errors
-///
-/// Those of [`replay`], plus [`ReplayError::Stimulus`] when the
-/// installer rejects a setup entry.
-pub fn replay_with_setup(
-    artifact: &Artifact,
-    threads: usize,
-    installer: &mut SetupInstaller<'_>,
-) -> Result<ReplayReport, ReplayError> {
     let mut world = artifact.recipe.build_world().map_err(ReplayError::Build)?;
     world.set_step_threads(threads);
-    for (kind, params) in &artifact.recipe.setup {
-        installer(&mut world, kind, params)
-            .map_err(|e| ReplayError::Stimulus(format!("setup `{kind}`: {e}")))?;
+    if let Some(install) = installer {
+        for (kind, params) in setup {
+            install(&mut world, kind, params)
+                .map_err(|e| ReplayError::Stimulus(format!("setup `{kind}`: {e}")))?;
+        }
     }
     for s in &artifact.stimuli {
         world.apply(s).map_err(ReplayError::Stimulus)?;
@@ -1115,18 +555,10 @@ pub fn replay_with_setup(
     })
 }
 
-/// Convenience: parse + [`replay`] in one call.
-///
-/// # Errors
-///
-/// Everything [`Artifact::parse`] and [`replay`] can return.
-pub fn replay_artifact(text: &str) -> Result<ReplayReport, ReplayError> {
-    replay(&Artifact::parse(text)?)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pilgrim_rpc::WireValue;
 
     #[test]
     fn stimuli_round_trip_through_json() {
@@ -1259,11 +691,11 @@ mod tests {
         ];
         for req in &reqs {
             let mut rendered = String::new();
-            request_to_json(req).write(&mut rendered);
+            req.to_json().write(&mut rendered);
             let parsed = Json::parse(&rendered).expect("valid JSON");
-            let back = request_from_json(&parsed).expect("decodes");
+            let back = AgentRequest::from_json(&parsed).expect("decodes");
             let mut rendered2 = String::new();
-            request_to_json(&back).write(&mut rendered2);
+            back.to_json().write(&mut rendered2);
             assert_eq!(rendered, rendered2, "request did not round-trip: {req:?}");
         }
     }
@@ -1276,7 +708,7 @@ mod tests {
             out
         };
         let parsed = Json::parse(&rendered).unwrap();
-        let err = value_from_json(&parsed).unwrap_err();
+        let err = value_from_json(&parsed).unwrap_err().describe("value");
         assert!(err.contains("node-local"), "{err}");
     }
 

@@ -17,6 +17,7 @@ use pilgrim_cclu::{compile, CompileError, Program, Value};
 use pilgrim_mayflower::{Node, NodeConfig, Outcall, Pid, SpawnOpts, UnknownProc};
 use pilgrim_ring::{Medium, Network, NetworkConfig, NodeId, TxClass, TxStatus};
 use pilgrim_rpc::{RpcConfig, RpcEndpoint, RpcNet, RpcPacket, WireValue};
+use pilgrim_sim::json::Variants;
 use pilgrim_sim::{
     CausalGraph, EventKind, Json, Metrics, SeriesStore, SimDuration, SimTime, SpanId,
     TraceCategory, Tracer, Watchpoint, BLACKBOX_CAPACITY,
@@ -1004,7 +1005,7 @@ impl World {
     /// Records a Rust-side setup step in the recipe so replay can
     /// re-perform it. Service installers (nameserver, aotman) call this
     /// with enough parameters to rebuild their native handlers; see
-    /// [`crate::replay::replay_with_setup`].
+    /// [`crate::replay::replay`].
     pub fn note_setup(&mut self, kind: &str, params: Json) {
         self.recipe.setup.push((kind.to_string(), params));
     }
@@ -2433,9 +2434,37 @@ impl World {
     ///
     /// # Errors
     ///
-    /// Only stimuli that cannot be applied at all fail: a spawn of a
-    /// procedure the rebuilt program does not have.
+    /// Only stimuli that cannot be applied at all fail: one naming a
+    /// station the world does not have, a spawn of a procedure the
+    /// rebuilt program does not have, or an unparsable watch expression.
     pub fn apply(&mut self, s: &Stimulus) -> Result<(), String> {
+        // A parsed journal is outside input: check its station indices
+        // before the driver calls below index by them.
+        let in_range = |ids: &[u32], limit: u32, unit: &str| match ids.iter().find(|&&n| n >= limit)
+        {
+            Some(n) => Err(format!(
+                "stimulus {}: station {n} out of range ({limit} {unit})",
+                Variants::tag(s)
+            )),
+            None => Ok(()),
+        };
+        match s {
+            Stimulus::Spawn { node, .. }
+            | Stimulus::Request { node, .. }
+            | Stimulus::BreakAtLine { node, .. }
+            | Stimulus::BreakAtProc { node, .. }
+            | Stimulus::ClearBreakpoint { node, .. }
+            | Stimulus::Diagnose { node, .. }
+            | Stimulus::HaltAll { origin: node } => {
+                in_range(&[*node], self.user_nodes, "user nodes")?
+            }
+            Stimulus::Connect { nodes, .. } => in_range(nodes, self.user_nodes, "user nodes")?,
+            Stimulus::SetNodeUp { node, .. } => in_range(&[*node], self.net.nodes(), "stations")?,
+            Stimulus::DropNext { src, dst, .. } => {
+                in_range(&[*src, *dst], self.net.nodes(), "stations")?;
+            }
+            _ => {}
+        }
         match s {
             Stimulus::Spawn { node, entry, args } => {
                 self.try_spawn(*node, entry, args.clone())

@@ -20,7 +20,7 @@ use pilgrim_cclu::{
     Syscalls, Value, VmProcess,
 };
 use pilgrim_sim::{
-    CallNodeId, CallTree, DetRng, EventKind, Json, LedgerBucket, SimDuration, SimTime, SpanId,
+    CallNodeId, CallTree, DetRng, EventKind, LedgerBucket, SimDuration, SimTime, SpanId,
     TimeLedger, TraceCategory, TraceEvent, Tracer,
 };
 
@@ -57,48 +57,12 @@ impl Default for NodeConfig {
     }
 }
 
-impl NodeConfig {
-    /// The config as a JSON object for the replay recipe.
-    pub fn to_json(&self) -> Json {
-        Json::obj(vec![
-            (
-                "time_slice_us",
-                Json::Int(self.time_slice.as_micros() as i128),
-            ),
-            ("seed", Json::Int(self.seed as i128)),
-            (
-                "freeze_timeouts_on_halt",
-                Json::Bool(self.freeze_timeouts_on_halt),
-            ),
-            ("profile_vm", Json::Bool(self.profile_vm)),
-        ])
-    }
-
-    /// Rebuilds a config from [`to_json`](NodeConfig::to_json) output.
-    ///
-    /// # Errors
-    ///
-    /// Missing or mistyped fields.
-    pub fn from_json(v: &Json) -> Result<NodeConfig, String> {
-        Ok(NodeConfig {
-            time_slice: v
-                .get("time_slice_us")
-                .and_then(Json::as_u64)
-                .map(SimDuration::from_micros)
-                .ok_or("node config: missing `time_slice_us`")?,
-            seed: v
-                .get("seed")
-                .and_then(Json::as_u64)
-                .ok_or("node config: missing `seed`")?,
-            freeze_timeouts_on_halt: v
-                .get("freeze_timeouts_on_halt")
-                .and_then(Json::as_bool)
-                .ok_or("node config: missing `freeze_timeouts_on_halt`")?,
-            profile_vm: v
-                .get("profile_vm")
-                .and_then(Json::as_bool)
-                .ok_or("node config: missing `profile_vm`")?,
-        })
+pilgrim_sim::json_codec! {
+    struct NodeConfig as "node config" {
+        time_slice: "time_slice_us",
+        seed: "seed",
+        freeze_timeouts_on_halt: "freeze_timeouts_on_halt",
+        profile_vm: "profile_vm",
     }
 }
 

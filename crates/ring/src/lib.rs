@@ -43,7 +43,7 @@ use std::collections::{HashMap, HashSet};
 use std::fmt;
 
 use pilgrim_sim::{
-    Counter, DetRng, EventKind, EventQueue, Gauge, Json, Metrics, SimDuration, SimTime, SpanId,
+    Counter, DetRng, EventKind, EventQueue, Gauge, Metrics, SimDuration, SimTime, SpanId,
     TraceCategory, Tracer,
 };
 
@@ -115,22 +115,10 @@ impl Default for NetworkConfig {
     }
 }
 
-impl Medium {
-    /// Stable wire name, used by the replay recipe format.
-    pub fn name(self) -> &'static str {
-        match self {
-            Medium::CambridgeRing => "cambridge-ring",
-            Medium::Ethernet => "ethernet",
-        }
-    }
-
-    /// The inverse of [`name`](Medium::name).
-    pub fn parse(name: &str) -> Option<Medium> {
-        match name {
-            "cambridge-ring" => Some(Medium::CambridgeRing),
-            "ethernet" => Some(Medium::Ethernet),
-            _ => None,
-        }
+pilgrim_sim::json_codec! {
+    enum Medium as "medium", strings {
+        CambridgeRing = "cambridge-ring",
+        Ethernet = "ethernet",
     }
 }
 
@@ -139,84 +127,21 @@ impl NetworkConfig {
     pub fn latency(&self, bytes: usize) -> SimDuration {
         self.base_latency + self.per_byte * bytes as u64
     }
+}
 
-    /// The config as a JSON object for the replay recipe.
-    pub fn to_json(&self) -> Json {
-        Json::obj(vec![
-            (
-                "base_latency_us",
-                Json::Int(self.base_latency.as_micros() as i128),
-            ),
-            ("per_byte_us", Json::Int(self.per_byte.as_micros() as i128)),
-            ("p_interface_loss", Json::Float(self.p_interface_loss)),
-            ("p_silent_loss", Json::Float(self.p_silent_loss)),
-            ("medium", Json::Str(self.medium.name().to_string())),
-            ("seed", Json::Int(self.seed as i128)),
-            ("topology", self.topology.to_json()),
-            ("link", self.link.to_json()),
-            (
-                "partitions",
-                Json::Array(
-                    self.partitions
-                        .iter()
-                        .map(PartitionWindow::to_json)
-                        .collect(),
-                ),
-            ),
-        ])
-    }
-
-    /// Rebuilds a config from [`to_json`](NetworkConfig::to_json) output.
-    ///
-    /// # Errors
-    ///
-    /// Missing or mistyped fields.
-    pub fn from_json(v: &Json) -> Result<NetworkConfig, String> {
-        let us = |field: &str| -> Result<SimDuration, String> {
-            v.get(field)
-                .and_then(Json::as_u64)
-                .map(SimDuration::from_micros)
-                .ok_or_else(|| format!("network config: missing `{field}`"))
-        };
-        Ok(NetworkConfig {
-            base_latency: us("base_latency_us")?,
-            per_byte: us("per_byte_us")?,
-            p_interface_loss: v
-                .get("p_interface_loss")
-                .and_then(Json::as_f64)
-                .ok_or("network config: missing `p_interface_loss`")?,
-            p_silent_loss: v
-                .get("p_silent_loss")
-                .and_then(Json::as_f64)
-                .ok_or("network config: missing `p_silent_loss`")?,
-            medium: v
-                .get("medium")
-                .and_then(Json::as_str)
-                .and_then(Medium::parse)
-                .ok_or("network config: missing or unknown `medium`")?,
-            seed: v
-                .get("seed")
-                .and_then(Json::as_u64)
-                .ok_or("network config: missing `seed`")?,
-            // The three topology fields are absent in artifacts recorded
-            // before multi-segment networks existed; those worlds ran on
-            // one flat segment with no bridges.
-            topology: match v.get("topology") {
-                Some(t) => Topology::from_json(t)?,
-                None => Topology::Flat,
-            },
-            link: match v.get("link") {
-                Some(l) => LinkModel::from_json(l)?,
-                None => LinkModel::default(),
-            },
-            partitions: match v.get("partitions").and_then(Json::as_array) {
-                Some(ws) => ws
-                    .iter()
-                    .map(PartitionWindow::from_json)
-                    .collect::<Result<_, _>>()?,
-                None => Vec::new(),
-            },
-        })
+pilgrim_sim::json_codec! {
+    struct NetworkConfig as "network config" {
+        base_latency: "base_latency_us",
+        per_byte: "per_byte_us",
+        p_interface_loss: "p_interface_loss",
+        p_silent_loss: "p_silent_loss",
+        medium: "medium",
+        seed: "seed",
+        // Absent in artifacts recorded before multi-segment networks
+        // existed; those worlds ran on one flat segment with no bridges.
+        topology: "topology" = Topology::Flat,
+        link: "link" = LinkModel::default(),
+        partitions: "partitions" = Vec::new(),
     }
 }
 
@@ -1049,6 +974,7 @@ impl<P: Clone> Network<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pilgrim_sim::Json;
 
     fn net(cfg: NetworkConfig) -> Network<u32> {
         Network::new(cfg, 4)

@@ -22,7 +22,7 @@
 //! packet whose path crosses the cut is lost silently (a sender's ring
 //! hardware can only see its own segment, so no NACK crosses a bridge).
 
-use pilgrim_sim::{Json, SimDuration, SimTime};
+use pilgrim_sim::{SimDuration, SimTime};
 
 /// How the station space is carved into bridged segments.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -131,50 +131,13 @@ impl Topology {
             }
         }
     }
+}
 
-    /// Stable wire name, used by the replay recipe format.
-    pub fn to_json(self) -> Json {
-        match self {
-            Topology::Flat => Json::obj(vec![("kind", Json::Str("flat".into()))]),
-            Topology::RingOfRings { segments } => Json::obj(vec![
-                ("kind", Json::Str("ring-of-rings".into())),
-                ("segments", Json::Int(segments as i128)),
-            ]),
-            Topology::Star { arms } => Json::obj(vec![
-                ("kind", Json::Str("star".into())),
-                ("arms", Json::Int(arms as i128)),
-            ]),
-        }
-    }
-
-    /// The inverse of [`to_json`](Topology::to_json).
-    ///
-    /// # Errors
-    ///
-    /// Unknown kinds and missing fields.
-    pub fn from_json(v: &Json) -> Result<Topology, String> {
-        let kind = v
-            .get("kind")
-            .and_then(Json::as_str)
-            .ok_or("topology: missing `kind`")?;
-        Ok(match kind {
-            "flat" => Topology::Flat,
-            "ring-of-rings" => Topology::RingOfRings {
-                segments: v
-                    .get("segments")
-                    .and_then(Json::as_u64)
-                    .and_then(|n| u32::try_from(n).ok())
-                    .ok_or("topology: missing `segments`")?,
-            },
-            "star" => Topology::Star {
-                arms: v
-                    .get("arms")
-                    .and_then(Json::as_u64)
-                    .and_then(|n| u32::try_from(n).ok())
-                    .ok_or("topology: missing `arms`")?,
-            },
-            other => return Err(format!("topology: unknown kind `{other}`")),
-        })
+pilgrim_sim::json_codec! {
+    enum Topology as "topology", tag "kind" {
+        Flat = "flat",
+        RingOfRings = "ring-of-rings" { segments: "segments" },
+        Star = "star" { arms: "arms" },
     }
 }
 
@@ -212,38 +175,12 @@ impl Default for LinkModel {
     }
 }
 
-impl LinkModel {
-    /// The model as a JSON object for the replay recipe.
-    pub fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("latency_us", Json::Int(self.latency.as_micros() as i128)),
-            ("jitter_us", Json::Int(self.jitter.as_micros() as i128)),
-            ("per_byte_us", Json::Int(self.per_byte.as_micros() as i128)),
-            ("p_loss", Json::Float(self.p_loss)),
-        ])
-    }
-
-    /// The inverse of [`to_json`](LinkModel::to_json).
-    ///
-    /// # Errors
-    ///
-    /// Missing or mistyped fields.
-    pub fn from_json(v: &Json) -> Result<LinkModel, String> {
-        let us = |field: &str| -> Result<SimDuration, String> {
-            v.get(field)
-                .and_then(Json::as_u64)
-                .map(SimDuration::from_micros)
-                .ok_or_else(|| format!("link model: missing `{field}`"))
-        };
-        Ok(LinkModel {
-            latency: us("latency_us")?,
-            jitter: us("jitter_us")?,
-            per_byte: us("per_byte_us")?,
-            p_loss: v
-                .get("p_loss")
-                .and_then(Json::as_f64)
-                .ok_or("link model: missing `p_loss`")?,
-        })
+pilgrim_sim::json_codec! {
+    struct LinkModel as "link model" {
+        latency: "latency_us",
+        jitter: "jitter_us",
+        per_byte: "per_byte_us",
+        p_loss: "p_loss",
     }
 }
 
@@ -268,40 +205,21 @@ impl PartitionWindow {
     pub fn cuts(&self, link: (u32, u32), at: SimTime) -> bool {
         link_key(self.a, self.b) == link && self.from <= at && at < self.to
     }
+}
 
-    /// The window as a JSON object for the replay recipe.
-    pub fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("from_us", Json::Int(self.from.as_micros() as i128)),
-            ("to_us", Json::Int(self.to.as_micros() as i128)),
-            ("a", Json::Int(self.a as i128)),
-            ("b", Json::Int(self.b as i128)),
-        ])
-    }
-
-    /// The inverse of [`to_json`](PartitionWindow::to_json).
-    ///
-    /// # Errors
-    ///
-    /// Missing or mistyped fields.
-    pub fn from_json(v: &Json) -> Result<PartitionWindow, String> {
-        let u = |field: &str| -> Result<u64, String> {
-            v.get(field)
-                .and_then(Json::as_u64)
-                .ok_or_else(|| format!("partition window: missing `{field}`"))
-        };
-        Ok(PartitionWindow {
-            from: SimTime::from_micros(u("from_us")?),
-            to: SimTime::from_micros(u("to_us")?),
-            a: u32::try_from(u("a")?).map_err(|_| "partition window: `a` out of range")?,
-            b: u32::try_from(u("b")?).map_err(|_| "partition window: `b` out of range")?,
-        })
+pilgrim_sim::json_codec! {
+    struct PartitionWindow as "partition window" {
+        from: "from_us",
+        to: "to_us",
+        a: "a",
+        b: "b",
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pilgrim_sim::Json;
 
     #[test]
     fn flat_is_one_segment() {

@@ -11,7 +11,6 @@
 use std::sync::Arc;
 
 use pilgrim_cclu::{Heap, HeapObject, RecordType, Type, Value};
-use pilgrim_sim::Json;
 
 /// A value in wire form: self-contained, heap-independent.
 #[derive(Debug, Clone, PartialEq)]
@@ -62,94 +61,18 @@ impl WireValue {
             WireValue::Array(items) => 4 + items.iter().map(WireValue::wire_bytes).sum::<usize>(),
         }
     }
+}
 
-    /// The value as tagged JSON for the replay journal. Wire values are
-    /// already heap-independent, so the encoding is a direct tree walk.
-    pub fn to_json(&self) -> Json {
-        match self {
-            WireValue::Null => Json::obj(vec![("kind", Json::Str("null".into()))]),
-            WireValue::Int(i) => Json::obj(vec![
-                ("kind", Json::Str("int".into())),
-                ("value", Json::Int(*i as i128)),
-            ]),
-            WireValue::Bool(b) => Json::obj(vec![
-                ("kind", Json::Str("bool".into())),
-                ("value", Json::Bool(*b)),
-            ]),
-            WireValue::Str(s) => Json::obj(vec![
-                ("kind", Json::Str("str".into())),
-                ("value", Json::Str(s.to_string())),
-            ]),
-            WireValue::Record { type_name, fields } => Json::obj(vec![
-                ("kind", Json::Str("record".into())),
-                ("type", Json::Str(type_name.to_string())),
-                (
-                    "fields",
-                    Json::Array(fields.iter().map(WireValue::to_json).collect()),
-                ),
-            ]),
-            WireValue::Array(items) => Json::obj(vec![
-                ("kind", Json::Str("array".into())),
-                (
-                    "items",
-                    Json::Array(items.iter().map(WireValue::to_json).collect()),
-                ),
-            ]),
-        }
-    }
-
-    /// Rebuilds a wire value from [`to_json`](WireValue::to_json) output.
-    ///
-    /// # Errors
-    ///
-    /// Unknown kinds and missing or mistyped fields.
-    pub fn from_json(v: &Json) -> Result<WireValue, String> {
-        let kind = v
-            .get("kind")
-            .and_then(Json::as_str)
-            .ok_or("wire value: missing `kind`")?;
-        Ok(match kind {
-            "null" => WireValue::Null,
-            "int" => WireValue::Int(
-                v.get("value")
-                    .and_then(Json::as_i64)
-                    .ok_or("wire value: missing int `value`")?,
-            ),
-            "bool" => WireValue::Bool(
-                v.get("value")
-                    .and_then(Json::as_bool)
-                    .ok_or("wire value: missing bool `value`")?,
-            ),
-            "str" => WireValue::Str(
-                v.get("value")
-                    .and_then(Json::as_str)
-                    .ok_or("wire value: missing str `value`")?
-                    .into(),
-            ),
-            "record" => WireValue::Record {
-                type_name: v
-                    .get("type")
-                    .and_then(Json::as_str)
-                    .ok_or("wire value: missing record `type`")?
-                    .into(),
-                fields: v
-                    .get("fields")
-                    .and_then(Json::as_array)
-                    .ok_or("wire value: missing record `fields`")?
-                    .iter()
-                    .map(WireValue::from_json)
-                    .collect::<Result<_, _>>()?,
-            },
-            "array" => WireValue::Array(
-                v.get("items")
-                    .and_then(Json::as_array)
-                    .ok_or("wire value: missing array `items`")?
-                    .iter()
-                    .map(WireValue::from_json)
-                    .collect::<Result<_, _>>()?,
-            ),
-            other => return Err(format!("wire value: unknown kind `{other}`")),
-        })
+// Wire values are already heap-independent, so the journal encoding is a
+// direct tree walk.
+pilgrim_sim::json_codec! {
+    enum WireValue as "wire value", tag "kind" {
+        Null = "null",
+        Int = "int" (value: "value"),
+        Bool = "bool" (value: "value"),
+        Str = "str" (value: "value"),
+        Record = "record" { type_name: "type", fields: "fields" },
+        Array = "array" (items: "items"),
     }
 }
 
@@ -265,6 +188,7 @@ mod tests {
     use super::*;
     use pilgrim_sim::check::{check_n, ensure, ensure_eq, Case, Gen};
     use pilgrim_sim::DetRng;
+    use pilgrim_sim::Json;
 
     fn sample() -> (Heap, Value) {
         let mut heap = Heap::new();

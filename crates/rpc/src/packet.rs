@@ -5,7 +5,7 @@ use std::sync::Arc;
 
 use pilgrim_cclu::RpcProtocol;
 use pilgrim_ring::NodeId;
-use pilgrim_sim::{Json, SimDuration, SpanId};
+use pilgrim_sim::{SimDuration, SpanId};
 
 use crate::marshal::WireValue;
 
@@ -165,69 +165,22 @@ impl Default for RpcConfig {
     }
 }
 
-impl RpcConfig {
-    /// The config as a JSON object for the replay recipe.
-    pub fn to_json(&self) -> Json {
-        let us = |d: SimDuration| Json::Int(d.as_micros() as i128);
-        Json::obj(vec![
-            ("client_send_us", us(self.client_send)),
-            ("server_recv_us", us(self.server_recv)),
-            ("server_send_us", us(self.server_send)),
-            ("client_recv_us", us(self.client_recv)),
-            ("debug_client_call_us", us(self.debug_client_call)),
-            ("debug_client_done_us", us(self.debug_client_done)),
-            ("debug_server_us", us(self.debug_server)),
-            ("debug_support", Json::Bool(self.debug_support)),
-            ("monitor", Json::Bool(self.monitor)),
-            ("monitor_per_packet_us", us(self.monitor_per_packet)),
-            ("retry_interval_us", us(self.retry_interval)),
-            ("max_attempts", Json::Int(self.max_attempts as i128)),
-            ("maybe_timeout_us", us(self.maybe_timeout)),
-            ("header_bytes", Json::Int(self.header_bytes as i128)),
-        ])
-    }
-
-    /// Rebuilds a config from [`to_json`](RpcConfig::to_json) output.
-    ///
-    /// # Errors
-    ///
-    /// Missing or mistyped fields.
-    pub fn from_json(v: &Json) -> Result<RpcConfig, String> {
-        let us = |field: &str| -> Result<SimDuration, String> {
-            v.get(field)
-                .and_then(Json::as_u64)
-                .map(SimDuration::from_micros)
-                .ok_or_else(|| format!("rpc config: missing `{field}`"))
-        };
-        let b = |field: &str| -> Result<bool, String> {
-            v.get(field)
-                .and_then(Json::as_bool)
-                .ok_or_else(|| format!("rpc config: missing `{field}`"))
-        };
-        Ok(RpcConfig {
-            client_send: us("client_send_us")?,
-            server_recv: us("server_recv_us")?,
-            server_send: us("server_send_us")?,
-            client_recv: us("client_recv_us")?,
-            debug_client_call: us("debug_client_call_us")?,
-            debug_client_done: us("debug_client_done_us")?,
-            debug_server: us("debug_server_us")?,
-            debug_support: b("debug_support")?,
-            monitor: b("monitor")?,
-            monitor_per_packet: us("monitor_per_packet_us")?,
-            retry_interval: us("retry_interval_us")?,
-            max_attempts: v
-                .get("max_attempts")
-                .and_then(Json::as_u64)
-                .and_then(|n| u32::try_from(n).ok())
-                .ok_or("rpc config: missing `max_attempts`")?,
-            maybe_timeout: us("maybe_timeout_us")?,
-            header_bytes: v
-                .get("header_bytes")
-                .and_then(Json::as_u64)
-                .map(|n| n as usize)
-                .ok_or("rpc config: missing `header_bytes`")?,
-        })
+pilgrim_sim::json_codec! {
+    struct RpcConfig as "rpc config" {
+        client_send: "client_send_us",
+        server_recv: "server_recv_us",
+        server_send: "server_send_us",
+        client_recv: "client_recv_us",
+        debug_client_call: "debug_client_call_us",
+        debug_client_done: "debug_client_done_us",
+        debug_server: "debug_server_us",
+        debug_support: "debug_support",
+        monitor: "monitor",
+        monitor_per_packet: "monitor_per_packet_us",
+        retry_interval: "retry_interval_us",
+        max_attempts: "max_attempts",
+        maybe_timeout: "maybe_timeout_us",
+        header_bytes: "header_bytes",
     }
 }
 
@@ -285,6 +238,7 @@ impl RecentCalls {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pilgrim_sim::Json;
 
     #[test]
     fn call_ids_are_node_unique() {

@@ -21,7 +21,7 @@ use std::io::Write;
 use std::sync::atomic::{AtomicBool, AtomicU16, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use crate::json::{escape_into, Json};
+use crate::json::{escape_into, Json, Variants};
 use crate::time::{SimDuration, SimTime};
 
 /// Category of a trace event, used for filtering.
@@ -301,35 +301,6 @@ pub enum EventKind {
 }
 
 impl EventKind {
-    /// Stable variant name, used by the JSONL export.
-    pub fn name(&self) -> &'static str {
-        match self {
-            EventKind::Message(_) => "Message",
-            EventKind::PacketSent { .. } => "PacketSent",
-            EventKind::PacketDelivered { .. } => "PacketDelivered",
-            EventKind::PacketLost { .. } => "PacketLost",
-            EventKind::PacketNacked { .. } => "PacketNacked",
-            EventKind::CallStarted { .. } => "CallStarted",
-            EventKind::CallRetransmitted { .. } => "CallRetransmitted",
-            EventKind::CallCompleted { .. } => "CallCompleted",
-            EventKind::CallTimedOut { .. } => "CallTimedOut",
-            EventKind::ServerDispatched { .. } => "ServerDispatched",
-            EventKind::ReplySent { .. } => "ReplySent",
-            EventKind::MaybeLostCall { .. } => "MaybeLostCall",
-            EventKind::MaybeLostReply { .. } => "MaybeLostReply",
-            EventKind::ProcessSpawned { .. } => "ProcessSpawned",
-            EventKind::ProcessExited { .. } => "ProcessExited",
-            EventKind::ProcessesHalted { .. } => "ProcessesHalted",
-            EventKind::ProcessesResumed { .. } => "ProcessesResumed",
-            EventKind::ClockAdjusted { .. } => "ClockAdjusted",
-            EventKind::Print { .. } => "Print",
-            EventKind::Faulted { .. } => "Faulted",
-            EventKind::BreakpointHalt => "BreakpointHalt",
-            EventKind::HaltBroadcast { .. } => "HaltBroadcast",
-            EventKind::WatchTripped { .. } => "WatchTripped",
-        }
-    }
-
     /// Renders the human-readable message. Legacy call sites that used to
     /// `format!` eagerly now map to variants whose rendering reproduces
     /// the old string byte-for-byte (the semantics-lock snapshot depends
@@ -425,81 +396,15 @@ impl EventKind {
         }
     }
 
+    /// Stable variant name, used by the JSONL export.
+    pub fn name(&self) -> &'static str {
+        Variants::tag(self)
+    }
+
     /// The variant's fields as a JSON object — the machine-readable half
     /// of the JSONL export, and what [`EventKind::from_data`] reverses.
     pub fn data(&self) -> Json {
-        let u = |v: u64| Json::Int(v as i128);
-        let n = |v: u32| Json::Int(v as i128);
-        let s = |v: &str| Json::Str(v.to_string());
-        match self {
-            EventKind::Message(text) => Json::obj(vec![("text", s(text))]),
-            EventKind::PacketSent { src, dst, bytes }
-            | EventKind::PacketDelivered { src, dst, bytes }
-            | EventKind::PacketLost { src, dst, bytes }
-            | EventKind::PacketNacked { src, dst, bytes } => Json::obj(vec![
-                ("src", n(*src)),
-                ("dst", n(*dst)),
-                ("bytes", n(*bytes)),
-            ]),
-            EventKind::CallStarted {
-                call_id,
-                proc,
-                args,
-                dst,
-                protocol,
-                parent_span,
-            } => Json::obj(vec![
-                ("call_id", u(*call_id)),
-                ("proc", s(proc)),
-                ("args", n(*args)),
-                ("dst", n(*dst)),
-                ("protocol", s(protocol)),
-                ("parent_span", u(*parent_span)),
-            ]),
-            EventKind::CallRetransmitted { call_id, attempt } => {
-                Json::obj(vec![("call_id", u(*call_id)), ("attempt", n(*attempt))])
-            }
-            EventKind::CallCompleted {
-                call_id,
-                ok,
-                outcome,
-            } => Json::obj(vec![
-                ("call_id", u(*call_id)),
-                ("ok", Json::Bool(*ok)),
-                ("outcome", s(outcome)),
-            ]),
-            EventKind::CallTimedOut { call_id }
-            | EventKind::MaybeLostCall { call_id }
-            | EventKind::MaybeLostReply { call_id } => Json::obj(vec![("call_id", u(*call_id))]),
-            EventKind::ServerDispatched { call_id, proc } => {
-                Json::obj(vec![("call_id", u(*call_id)), ("proc", s(proc))])
-            }
-            EventKind::ReplySent { call_id, cached } => Json::obj(vec![
-                ("call_id", u(*call_id)),
-                ("cached", Json::Bool(*cached)),
-            ]),
-            EventKind::ProcessSpawned { pid, proc } => {
-                Json::obj(vec![("pid", u(*pid)), ("proc", s(proc))])
-            }
-            EventKind::ProcessExited { pid } => Json::obj(vec![("pid", u(*pid))]),
-            EventKind::ProcessesHalted { count } | EventKind::ProcessesResumed { count } => {
-                Json::obj(vec![("count", u(*count))])
-            }
-            EventKind::ClockAdjusted { delta, now } => Json::obj(vec![
-                ("delta_us", u(delta.as_micros())),
-                ("now_us", u(now.as_micros())),
-            ]),
-            EventKind::Print { pid, text } => Json::obj(vec![("pid", u(*pid)), ("text", s(text))]),
-            EventKind::Faulted { pid, fault } => {
-                Json::obj(vec![("pid", u(*pid)), ("fault", s(fault))])
-            }
-            EventKind::BreakpointHalt => Json::obj(vec![]),
-            EventKind::HaltBroadcast { origin } => Json::obj(vec![("origin", n(*origin))]),
-            EventKind::WatchTripped { expr, value } => Json::obj(vec![
-                ("expr", s(expr)),
-                ("value", Json::Int(*value as i128)),
-            ]),
-        }
+        Json::Object(Variants::fields(self))
     }
 
     /// Rebuilds the typed payload from a variant name and its
@@ -509,115 +414,44 @@ impl EventKind {
     ///
     /// Unknown variant names and missing or mistyped fields.
     pub fn from_data(name: &str, data: &Json) -> Result<EventKind, String> {
-        let u = |field: &str| -> Result<u64, String> {
-            data.get(field)
-                .and_then(Json::as_u64)
-                .ok_or_else(|| format!("{name}: missing or non-integer `{field}`"))
-        };
-        let n = |field: &str| -> Result<u32, String> {
-            u(field).and_then(|v| {
-                u32::try_from(v).map_err(|_| format!("{name}: `{field}` out of u32 range"))
-            })
-        };
-        let s = |field: &str| -> Result<String, String> {
-            data.get(field)
-                .and_then(Json::as_str)
-                .map(str::to_string)
-                .ok_or_else(|| format!("{name}: missing or non-string `{field}`"))
-        };
-        let b = |field: &str| -> Result<bool, String> {
-            data.get(field)
-                .and_then(Json::as_bool)
-                .ok_or_else(|| format!("{name}: missing or non-boolean `{field}`"))
-        };
-        Ok(match name {
-            "Message" => EventKind::Message(s("text")?),
-            "PacketSent" => EventKind::PacketSent {
-                src: n("src")?,
-                dst: n("dst")?,
-                bytes: n("bytes")?,
-            },
-            "PacketDelivered" => EventKind::PacketDelivered {
-                src: n("src")?,
-                dst: n("dst")?,
-                bytes: n("bytes")?,
-            },
-            "PacketLost" => EventKind::PacketLost {
-                src: n("src")?,
-                dst: n("dst")?,
-                bytes: n("bytes")?,
-            },
-            "PacketNacked" => EventKind::PacketNacked {
-                src: n("src")?,
-                dst: n("dst")?,
-                bytes: n("bytes")?,
-            },
-            "CallStarted" => EventKind::CallStarted {
-                call_id: u("call_id")?,
-                proc: s("proc")?,
-                args: n("args")?,
-                dst: n("dst")?,
-                protocol: s("protocol")?,
-                parent_span: u("parent_span")?,
-            },
-            "CallRetransmitted" => EventKind::CallRetransmitted {
-                call_id: u("call_id")?,
-                attempt: n("attempt")?,
-            },
-            "CallCompleted" => EventKind::CallCompleted {
-                call_id: u("call_id")?,
-                ok: b("ok")?,
-                outcome: s("outcome")?,
-            },
-            "CallTimedOut" => EventKind::CallTimedOut {
-                call_id: u("call_id")?,
-            },
-            "ServerDispatched" => EventKind::ServerDispatched {
-                call_id: u("call_id")?,
-                proc: s("proc")?,
-            },
-            "ReplySent" => EventKind::ReplySent {
-                call_id: u("call_id")?,
-                cached: b("cached")?,
-            },
-            "MaybeLostCall" => EventKind::MaybeLostCall {
-                call_id: u("call_id")?,
-            },
-            "MaybeLostReply" => EventKind::MaybeLostReply {
-                call_id: u("call_id")?,
-            },
-            "ProcessSpawned" => EventKind::ProcessSpawned {
-                pid: u("pid")?,
-                proc: s("proc")?,
-            },
-            "ProcessExited" => EventKind::ProcessExited { pid: u("pid")? },
-            "ProcessesHalted" => EventKind::ProcessesHalted { count: u("count")? },
-            "ProcessesResumed" => EventKind::ProcessesResumed { count: u("count")? },
-            "ClockAdjusted" => EventKind::ClockAdjusted {
-                delta: SimDuration::from_micros(u("delta_us")?),
-                now: SimDuration::from_micros(u("now_us")?),
-            },
-            "Print" => EventKind::Print {
-                pid: u("pid")?,
-                text: s("text")?,
-            },
-            "Faulted" => EventKind::Faulted {
-                pid: u("pid")?,
-                fault: s("fault")?,
-            },
-            "BreakpointHalt" => EventKind::BreakpointHalt,
-            "HaltBroadcast" => EventKind::HaltBroadcast {
-                origin: n("origin")?,
-            },
-            "WatchTripped" => EventKind::WatchTripped {
-                expr: s("expr")?,
-                value: data
-                    .get("value")
-                    .and_then(Json::as_i64)
-                    .ok_or_else(|| format!("{name}: missing or non-integer `value`"))?,
-            },
-            other => return Err(format!("unknown event kind `{other}`")),
-        })
+        Self::from_fields(name, data).map_err(|e| e.describe(name))
+    }
+}
+
+// The variant name travels in the event's `kind` field, so the data
+// object carries no tag of its own.
+crate::json_codec! {
+    enum EventKind as "event" {
+        Message = "Message" (text: "text"),
+        PacketSent = "PacketSent" { src: "src", dst: "dst", bytes: "bytes" },
+        PacketDelivered = "PacketDelivered" { src: "src", dst: "dst", bytes: "bytes" },
+        PacketLost = "PacketLost" { src: "src", dst: "dst", bytes: "bytes" },
+        PacketNacked = "PacketNacked" { src: "src", dst: "dst", bytes: "bytes" },
+        CallStarted = "CallStarted" {
+            call_id: "call_id",
+            proc: "proc",
+            args: "args",
+            dst: "dst",
+            protocol: "protocol",
+            parent_span: "parent_span",
+        },
+        CallRetransmitted = "CallRetransmitted" { call_id: "call_id", attempt: "attempt" },
+        CallCompleted = "CallCompleted" { call_id: "call_id", ok: "ok", outcome: "outcome" },
+        CallTimedOut = "CallTimedOut" { call_id: "call_id" },
+        ServerDispatched = "ServerDispatched" { call_id: "call_id", proc: "proc" },
+        ReplySent = "ReplySent" { call_id: "call_id", cached: "cached" },
+        MaybeLostCall = "MaybeLostCall" { call_id: "call_id" },
+        MaybeLostReply = "MaybeLostReply" { call_id: "call_id" },
+        ProcessSpawned = "ProcessSpawned" { pid: "pid", proc: "proc" },
+        ProcessExited = "ProcessExited" { pid: "pid" },
+        ProcessesHalted = "ProcessesHalted" { count: "count" },
+        ProcessesResumed = "ProcessesResumed" { count: "count" },
+        ClockAdjusted = "ClockAdjusted" { delta: "delta_us", now: "now_us" },
+        Print = "Print" { pid: "pid", text: "text" },
+        Faulted = "Faulted" { pid: "pid", fault: "fault" },
+        BreakpointHalt = "BreakpointHalt",
+        HaltBroadcast = "HaltBroadcast" { origin: "origin" },
+        WatchTripped = "WatchTripped" { expr: "expr", value: "value" },
     }
 }
 

@@ -86,7 +86,7 @@ fn replay_reproduces_the_embedded_profile() {
         Some(folded.as_str()),
         "profiled recordings embed the folded snapshot"
     );
-    let report = replay(&artifact).expect("replay runs");
+    let report = replay(&artifact, 1, None).expect("replay runs");
     assert!(report.divergence.is_none());
     assert_eq!(
         report.profile_identical,
@@ -99,7 +99,7 @@ fn replay_reproduces_the_embedded_profile() {
 fn unprofiled_recordings_have_no_profile_section() {
     let artifact = lock_scenario(false).record();
     assert!(artifact.profile.is_none());
-    let report = replay(&Artifact::parse(&artifact.render()).unwrap()).unwrap();
+    let report = replay(&Artifact::parse(&artifact.render()).unwrap(), 1, None).unwrap();
     assert_eq!(report.profile_identical, None);
 }
 
@@ -230,7 +230,7 @@ fn replay_reproduces_the_watch_trip() {
     let text = w.record().render();
     drop(w);
 
-    let report = replay(&Artifact::parse(&text).unwrap()).expect("replay runs");
+    let report = replay(&Artifact::parse(&text).unwrap(), 1, None).expect("replay runs");
     assert!(
         report.divergence.is_none(),
         "watch-bearing journal diverged"

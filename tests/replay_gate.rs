@@ -9,7 +9,7 @@
 //! fail. A property test repeats the round trip over random seeds,
 //! topologies, and stimulus mixes.
 
-use pilgrim::replay::{replay, replay_with_threads, Artifact};
+use pilgrim::replay::{replay, Artifact, ReplayError, Stimulus};
 use pilgrim::{twin_threads, DebugEvent, NodeConfig, SimDuration, SimTime, Value, World};
 use pilgrim_sim::check::{check_n, ensure, int_range, u64_range, zip_cases, Case, Gen};
 use pilgrim_sim::DetRng;
@@ -74,7 +74,7 @@ fn semantics_lock_scenario_replays_byte_identically() {
     drop(world); // the replay must work from the artifact text alone
 
     let artifact = Artifact::parse(&text).expect("rendered artifact parses");
-    let report = replay(&artifact).expect("replay runs");
+    let report = replay(&artifact, 1, None).expect("replay runs");
     assert!(
         report.divergence.is_none(),
         "clean replay diverged:\n{}",
@@ -92,7 +92,7 @@ fn replayed_world_rerecords_the_same_artifact() {
     // A replayed world goes through the same public recording APIs, so
     // recording it again must reproduce the original artifact exactly.
     let original = lock_scenario().record().render();
-    let report = replay(&Artifact::parse(&original).unwrap()).unwrap();
+    let report = replay(&Artifact::parse(&original).unwrap(), 1, None).unwrap();
     assert_eq!(report.world.record().render(), original);
 }
 
@@ -120,7 +120,7 @@ fn mutated_trace_is_reported_with_index_kind_and_field() {
         .join("\n")
         + "\n";
 
-    let report = replay(&corrupted).expect("replay runs");
+    let report = replay(&corrupted, 1, None).expect("replay runs");
     assert!(!report.byte_identical);
     let d = report.divergence.expect("mutation must be detected");
     assert_eq!(d.index, victim, "divergence pinned to the mutated event");
@@ -149,7 +149,7 @@ fn truncated_trace_is_reported_as_early_end() {
     let mut corrupted = artifact.clone();
     corrupted.trace = lines.join("\n") + "\n";
 
-    let report = replay(&corrupted).expect("replay runs");
+    let report = replay(&corrupted, 1, None).expect("replay runs");
     let d = report.divergence.expect("truncation must be detected");
     assert_eq!(d.index, kept);
     assert!(d.expected.is_none() && d.actual.is_some());
@@ -170,7 +170,7 @@ fn parallel_recording_replays_serially() {
     drop(world);
 
     let artifact = Artifact::parse(&text).expect("rendered artifact parses");
-    let report = replay(&artifact).expect("replay runs");
+    let report = replay(&artifact, 1, None).expect("replay runs");
     assert!(
         report.divergence.is_none(),
         "parallel recording diverged under serial replay:\n{}",
@@ -190,7 +190,7 @@ fn parallel_recording_replays_serially() {
 fn serial_recording_replays_in_parallel() {
     let artifact = lock_scenario_with(1, true).record();
     for threads in twin_threads() {
-        let report = replay_with_threads(&artifact, threads).expect("replay runs");
+        let report = replay(&artifact, threads, None).expect("replay runs");
         assert!(
             report.divergence.is_none(),
             "serial recording diverged at {threads} threads:\n{}",
@@ -290,11 +290,61 @@ fn prop_record_replay_is_byte_identical() {
         |sc| {
             let text = run_scenario(sc).record().render();
             let artifact = Artifact::parse(&text).map_err(|e| format!("parse: {e}"))?;
-            let report = replay(&artifact).map_err(|e| format!("replay: {e}"))?;
+            let report = replay(&artifact, 1, None).map_err(|e| format!("replay: {e}"))?;
             if let Some(d) = report.divergence {
                 return Err(format!("diverged:\n{}", d.report()));
             }
             ensure(report.byte_identical, "trace not byte-identical")
         },
     );
+}
+
+/// Replays a two-node recording whose journal was extended with `tail`,
+/// returning the error the replay must end in.
+fn replay_with_tail(tail: Vec<Stimulus>) -> String {
+    let mut w = World::builder()
+        .nodes(2)
+        .program(NODE1)
+        .seed(3)
+        .build()
+        .expect("world builds");
+    w.run_for(SimDuration::from_millis(5));
+    let mut artifact = w.record();
+    artifact.stimuli.extend(tail);
+    match replay(&artifact, 1, None) {
+        Err(ReplayError::Stimulus(msg)) => msg,
+        Err(e) => panic!("expected a stimulus error, got {e}"),
+        Ok(_) => panic!("an out-of-range station replayed cleanly"),
+    }
+}
+
+#[test]
+fn spawn_on_a_missing_node_is_a_stimulus_error() {
+    let msg = replay_with_tail(vec![Stimulus::Spawn {
+        node: 99,
+        entry: "ping".into(),
+        args: vec![Value::Int(1)],
+    }]);
+    assert!(msg.contains("spawn") && msg.contains("99"), "{msg}");
+}
+
+#[test]
+fn set_node_up_on_a_missing_station_is_a_stimulus_error() {
+    let msg = replay_with_tail(vec![Stimulus::SetNodeUp {
+        node: 99,
+        up: false,
+    }]);
+    assert!(msg.contains("set_node_up") && msg.contains("99"), "{msg}");
+}
+
+#[test]
+fn connect_naming_a_missing_node_is_a_stimulus_error() {
+    let msg = replay_with_tail(vec![
+        Stimulus::Connect {
+            nodes: vec![0, 99],
+            force: false,
+        },
+        Stimulus::HaltAll { origin: 0 },
+    ]);
+    assert!(msg.contains("connect") && msg.contains("99"), "{msg}");
 }

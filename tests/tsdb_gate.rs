@@ -105,7 +105,7 @@ fn replayed_world_renders_identical_tsdb_output() {
         artifact.recipe.tsdb,
         "the recipe must carry the tsdb knob or replays sample nothing"
     );
-    let report = replay(&artifact).expect("replay succeeds");
+    let report = replay(&artifact, 1, None).expect("replay succeeds");
     assert!(
         report.byte_identical,
         "replayed trace must be byte-identical"
