@@ -10,7 +10,7 @@
 //! windows. When a watchpoint trips, a `maybe` call is diagnosed as
 //! lost, or the operator asks for one, the world freezes both rings into
 //! a [`BlackboxSnapshot`] — rendered with the same `pilgrim_sim::json`
-//! machinery as replay artifacts, so the `pilgrim-trace` binary can load
+//! machinery as replay artifacts, so `pilgrim trace` can load
 //! either format.
 //!
 //! [`Tracer`]: pilgrim_sim::Tracer

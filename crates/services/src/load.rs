@@ -1,4 +1,4 @@
-//! The `pilgrim-load` harness: drives a [`Scenario`]'s open-loop
+//! The `pilgrim load` harness: drives a [`Scenario`]'s open-loop
 //! workload against the full services stack (nameserver + fileserver +
 //! AOT manager) on a bridged multi-segment world, and reads throughput
 //! and latency percentiles back out of the metrics registry.

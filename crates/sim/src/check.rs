@@ -443,6 +443,40 @@ pub fn ascii_string(max_len: usize) -> Mapped<Vecs<Choice<char>>, String> {
     string_of(&alphabet, max_len)
 }
 
+/// One byte-level edit of a document: `(op, (position, byte))`, where op
+/// 0 flips a bit, 1 deletes, 2 inserts and 3 truncates. The position
+/// wraps modulo the document's length.
+pub type ByteEdit = (i64, (u64, u8));
+
+/// Lists of up to `max_edits` [`ByteEdit`]s: the mutation source for
+/// never-panic properties over parsers that read outside bytes.
+pub fn byte_edits(max_edits: usize) -> Vecs<Zip<IntRange, Zip<U64Range, Bytes>>> {
+    vecs(
+        zip(int_range(0, 4), zip(u64_range(0, u64::MAX), byte())),
+        max_edits,
+    )
+}
+
+/// Applies `edits` to `doc` in order, decoding the result lossily.
+pub fn apply_edits(doc: &str, edits: &[ByteEdit]) -> String {
+    let mut bytes = doc.as_bytes().to_vec();
+    for &(op, (pos, b)) in edits {
+        if bytes.is_empty() {
+            break;
+        }
+        let at = (pos % bytes.len() as u64) as usize;
+        match op {
+            0 => bytes[at] ^= 1 << (b % 8),
+            1 => {
+                bytes.remove(at);
+            }
+            2 => bytes.insert(at, b),
+            _ => bytes.truncate(at),
+        }
+    }
+    String::from_utf8_lossy(&bytes).into_owned()
+}
+
 // ---------------------------------------------------------------------
 // The runner.
 // ---------------------------------------------------------------------

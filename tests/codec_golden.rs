@@ -20,7 +20,7 @@ use pilgrim::{
     NodeConfig, PartitionWindow, RpcConfig, SimDuration, SimTime, SpanId, Topology, TraceCategory,
     TraceEvent, Value, WireValue, World,
 };
-use pilgrim_sim::check::{byte, check_n, int_range, u64_range, vecs, zip};
+use pilgrim_sim::check::{apply_edits, byte_edits, check_n, int_range, zip};
 use pilgrim_sim::json::MAX_DEPTH;
 use pilgrim_sim::Json;
 
@@ -548,40 +548,16 @@ fn mistyped_back_compat_keys_are_errors_not_defaults() {
     assert!(err.contains("blackbox: out-of-range `series`"), "{err}");
 }
 
-/// One byte-level edit of a document: `(op, (position, byte))`, where op
-/// 0 flips a bit, 1 deletes, 2 inserts, and 3 truncates.
-type Edit = (i64, (u64, u8));
-
-fn mutate(doc: &str, edits: &[Edit]) -> String {
-    let mut bytes = doc.as_bytes().to_vec();
-    for &(op, (pos, b)) in edits {
-        if bytes.is_empty() {
-            break;
-        }
-        let at = (pos % bytes.len() as u64) as usize;
-        match op {
-            0 => bytes[at] ^= 1 << (b % 8),
-            1 => {
-                bytes.remove(at);
-            }
-            2 => bytes.insert(at, b),
-            _ => bytes.truncate(at),
-        }
-    }
-    String::from_utf8_lossy(&bytes).into_owned()
-}
-
 #[test]
 fn decoders_never_panic_on_mutated_fixtures() {
     let fixtures = [ARTIFACT, BLACKBOX, LEGACY_ARTIFACT, LEGACY_BLACKBOX];
-    let edit = zip(int_range(0, 4), zip(u64_range(0, u64::MAX), byte()));
-    let gen = zip(int_range(0, fixtures.len() as i64), vecs(edit, 4));
+    let gen = zip(int_range(0, fixtures.len() as i64), byte_edits(4));
     check_n(
         "decoders_never_panic_on_mutated_fixtures",
         500,
         &gen,
         |(which, edits)| {
-            let text = mutate(fixtures[*which as usize], edits);
+            let text = apply_edits(fixtures[*which as usize], edits);
             // Every outcome is fine except a panic; a decoded document
             // must also survive re-rendering and decoding its trace.
             if let Ok(a) = Artifact::parse(&text) {

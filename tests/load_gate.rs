@@ -2,13 +2,15 @@
 //! loaded multi-segment worlds are deterministic (twin-run serial vs
 //! parallel, twice-run byte-equality), partitions scheduled in the
 //! recipe actually cut and heal, the recorded artifact replays
-//! divergence-free through the services setup installer, and the driver's
-//! `set_link_up` journals like any other stimulus.
+//! divergence-free through the services setup installer, the driver's
+//! `set_link_up` journals like any other stimulus, and byte-mutated
+//! scenario files never panic the parser.
 
 use pilgrim::{twin_run, Artifact, SimTime, Stimulus};
 use pilgrim_services::{
     replay_load_artifact, run_scenario, run_scenario_threads, Scenario, FS_NODE, NS_NODE,
 };
+use pilgrim_sim::check::{apply_edits, byte_edits, check_n, int_range, zip};
 
 /// A small partitioned star scenario, heavy enough to cross bridges and
 /// lose packets, light enough for a unit-test budget. The 2 s cut
@@ -43,6 +45,28 @@ fn scenario_parser_rejects_hostile_files() {
     assert!(err.contains("unknown key"), "{err}");
     let err = Scenario::parse("rate = 9999999999").expect_err("absurd rate");
     assert!(err.contains("rate"), "{err}");
+}
+
+#[test]
+fn scenario_parser_never_panics_on_mutated_scenarios() {
+    // `pilgrim load` is where outside bytes reach `Scenario::parse`: bit
+    // flips, deletions, insertions and truncations of every committed
+    // scenario must each end in `Ok` or `Err`.
+    let files = [
+        include_str!("../scenarios/partition_1k.toml"),
+        include_str!("../scenarios/million_users.toml"),
+        include_str!("../scenarios/soak_100k.toml"),
+    ];
+    let gen = zip(int_range(0, files.len() as i64), byte_edits(4));
+    check_n(
+        "scenario_parser_never_panics_on_mutated_scenarios",
+        1000,
+        &gen,
+        |(which, edits)| {
+            let _ = Scenario::parse(&apply_edits(files[*which as usize], edits));
+            Ok(())
+        },
+    );
 }
 
 #[test]

@@ -74,6 +74,50 @@ fn profiled_lock_scenario_folds_byte_identically_twice() {
 }
 
 #[test]
+fn folded_lines_are_well_formed_and_fold_recursion() {
+    const FIB: &str = "\
+fib = proc (n: int) returns (int)
+ if n < 2 then
+ return (n)
+ end
+ return (fib(n - 1) + fib(n - 2))
+end
+
+main = proc ()
+ print(int$unparse(fib(8)))
+end";
+    let mut w = World::builder()
+        .nodes(1)
+        .program(FIB)
+        .seed(42)
+        .node_config(NodeConfig {
+            profile_vm: true,
+            ..Default::default()
+        })
+        .build()
+        .expect("scenario builds");
+    w.spawn(0, "main", vec![]);
+    w.run_until_idle(SimTime::from_secs(30));
+    let folded = w.folded_stacks();
+    assert!(!folded.is_empty(), "profiled run produced no stacks");
+    // Every line is `frame(;frame)* <positive int>`.
+    for line in folded.lines() {
+        let (stack, weight) = line
+            .rsplit_once(' ')
+            .unwrap_or_else(|| panic!("no weight separator in `{line}`"));
+        assert!(
+            stack.split(';').all(|frame| !frame.is_empty()),
+            "malformed stack in `{line}`"
+        );
+        let weight: u64 = weight
+            .parse()
+            .unwrap_or_else(|_| panic!("non-integer weight in `{line}`"));
+        assert!(weight > 0, "zero-weight line `{line}`");
+    }
+    assert!(folded.contains("node0;main;fib;fib"), "{folded}");
+}
+
+#[test]
 fn replay_reproduces_the_embedded_profile() {
     let world = lock_scenario(true);
     let folded = world.folded_stacks();

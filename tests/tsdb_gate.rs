@@ -10,8 +10,10 @@
 //! that.
 
 use pilgrim::blackbox::BlackboxSnapshot;
-use pilgrim::replay::replay;
-use pilgrim::{twin_threads, NetworkConfig, SimTime, TraceCategory, Value, World};
+use pilgrim::replay::{replay, Artifact};
+use pilgrim::{
+    twin_threads, CausalGraph, NetworkConfig, SimTime, TraceCategory, TraceEvent, Value, World,
+};
 
 const FANOUT_MAIN: &str = "\
 ping = proc (x: int) returns (int)
@@ -116,6 +118,35 @@ fn replayed_world_renders_identical_tsdb_output() {
     {
         assert_eq!(*want, got, "{what} differs between live run and replay");
     }
+}
+
+#[test]
+fn recordings_and_dumps_carry_the_live_analysis() {
+    let live = tsdb_scenario(1);
+    let events = live.tracer().events();
+    let graph = CausalGraph::from_events(&events);
+    let retransmits: u64 = graph.spans().iter().map(|p| u64::from(p.retransmits)).sum();
+    assert!(
+        retransmits > 0,
+        "the lossy fan-out must attribute retransmits"
+    );
+
+    // Offline analysis of the recorded trace matches the live world's.
+    let artifact = Artifact::parse(&live.record().render()).expect("artifact parses");
+    let recorded = TraceEvent::parse_jsonl(&artifact.trace).expect("recorded trace decodes");
+    assert_eq!(recorded.len(), events.len());
+    assert_eq!(
+        CausalGraph::from_events(&recorded).render_critical(),
+        graph.render_critical()
+    );
+
+    let dump = BlackboxSnapshot::parse(&live.blackbox_snapshot("gate").render()).expect("parses");
+    assert!(!dump.decode_events().expect("ring decodes").is_empty());
+    assert!(
+        dump.series.starts_with("tsdb "),
+        "the dump must carry tsdb series blocks:\n{}",
+        dump.series
+    );
 }
 
 #[test]
