@@ -276,8 +276,9 @@ impl ProcDebug {
 }
 
 /// Per-instruction execution metadata, precomputed at load so the VM's
-/// dispatch loop reads one table entry instead of matching on the op twice
-/// (once for its simulated cost, once for the two-phase-allocation check).
+/// dispatch loop reads one table entry instead of matching on the op
+/// (for its simulated cost, the two-phase-allocation check, and the
+/// burst-boundary check).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct OpCost {
     /// Baseline simulated cost of the instruction, microseconds.
@@ -285,6 +286,11 @@ pub struct OpCost {
     /// Whether the instruction allocates (and therefore runs the VM's
     /// two-phase allocator critical region).
     pub allocates: bool,
+    /// Whether the instruction must run as a burst of its own
+    /// ([`run`](crate::vm::run)): it calls into the supervisor's
+    /// [`Syscalls`](crate::vm::Syscalls), is a planted trap, or raises a
+    /// signal.
+    pub boundary: bool,
 }
 
 /// Baseline instruction costs in simulated microseconds, calibrated so that
@@ -320,7 +326,30 @@ pub fn op_cost(op: &Op) -> OpCost {
         op,
         Op::NewRecord { .. } | Op::NewArray | Op::Append | Op::Concat | Op::Unparse
     );
-    OpCost { cost, allocates }
+    let boundary = matches!(
+        op,
+        Op::Fork { .. }
+            | Op::Rpc { .. }
+            | Op::SemCreate
+            | Op::SemWait
+            | Op::SemSignal
+            | Op::MutexCreate
+            | Op::MutexLock
+            | Op::MutexUnlock
+            | Op::Sleep
+            | Op::Now
+            | Op::Pid
+            | Op::MyNode
+            | Op::Random
+            | Op::Print
+            | Op::Trap(_)
+            | Op::Signal(_)
+    );
+    OpCost {
+        cost,
+        allocates,
+        boundary,
+    }
 }
 
 /// A compiled procedure: code plus debug tables.
@@ -578,32 +607,26 @@ mod tests {
     #[test]
     fn cost_table_matches_code() {
         let p = ProcCode::new(
-            vec![Op::Enter { nlocals: 1 }, Op::Concat, Op::Ret { nvals: 1 }],
+            vec![
+                Op::Enter { nlocals: 1 },
+                Op::Concat,
+                Op::Now,
+                Op::Ret { nvals: 1 },
+            ],
             Vec::new(),
             debug(&[(0, 1)]),
         );
         assert_eq!(p.costs.len(), p.code.len());
-        assert_eq!(
-            p.costs[0],
-            OpCost {
-                cost: 6,
-                allocates: false
-            }
-        );
-        assert_eq!(
-            p.costs[1],
-            OpCost {
-                cost: 12,
-                allocates: true
-            }
-        );
-        assert_eq!(
-            p.costs[2],
-            OpCost {
-                cost: 10,
-                allocates: false
-            }
-        );
+        let row = |cost, allocates, boundary| OpCost {
+            cost,
+            allocates,
+            boundary,
+        };
+        assert_eq!(p.costs[0], row(6, false, false));
+        assert_eq!(p.costs[1], row(12, true, false));
+        assert_eq!(p.costs[2], row(4, false, true));
+        assert_eq!(p.costs[3], row(10, false, false));
+        assert!(op_cost(&Op::Trap(0)).boundary && op_cost(&Op::Signal(0)).boundary);
     }
 
     #[test]

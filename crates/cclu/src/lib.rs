@@ -21,10 +21,11 @@
 //! The compiler emits bytecode *plus the debug tables the paper's modified
 //! compiler emitted* (§5.5): line tables, variable-location tables with
 //! live ranges, and entry-sequence boundaries for top-of-stack
-//! interpretation. The VM executes one instruction per call, supports trap
+//! interpretation. The VM executes one instruction ([`step`]) or a
+//! supervisor-bounded burst of them ([`run`]) per call, supports trap
 //! opcodes planted over real instructions (breakpoints) and a trace-mode
-//! flag (single step), and reports per-instruction simulated costs so the
-//! supervisor can keep time.
+//! flag (single step), and reports simulated costs so the supervisor can
+//! keep time.
 //!
 //! # Examples
 //!
@@ -68,7 +69,7 @@ pub use value::{
 };
 pub use verify::{verify, VerifyError};
 pub use vm::{
-    step, ExecEnv, Fault, FaultKind, Frame, FrameKind, RpcCallState, RpcInfoBlock, RpcRequest,
+    run, step, ExecEnv, Fault, FaultKind, Frame, FrameKind, RpcCallState, RpcInfoBlock, RpcRequest,
     StepOutcome, SyncCell, SysReply, Syscalls, VmProcess, MAX_FRAMES,
 };
 

@@ -2,10 +2,13 @@
 //!
 //! One [`VmProcess`] is a light-weight Concurrent CLU process: a call stack
 //! of [`Frame`]s executing shared per-node code against a shared per-node
-//! heap. The VM is deliberately *passive* — it executes exactly one
-//! instruction per [`step`] call and reports the simulated cost — so the
-//! Mayflower supervisor retains complete control over scheduling, time, and
-//! halting, which is where all the paper's interesting behaviour lives.
+//! heap. The VM is deliberately *passive* — it executes a bounded burst of
+//! instructions per [`run`] call (exactly one per [`step`]) and reports the
+//! simulated cost — so the Mayflower supervisor retains complete control
+//! over scheduling, time, and halting, which is where all the paper's
+//! interesting behaviour lives. A burst never runs past a syscall, a trap,
+//! or the cost budget the supervisor grants, so it ends exactly where the
+//! supervisor would next have made a different decision.
 //!
 //! Faithful details:
 //!
@@ -388,23 +391,46 @@ fn type_fault(expected: &str, found: &Value, cost: u64) -> StepOutcome {
 /// Out-of-line constructor for the pc-out-of-range fault.
 #[cold]
 #[inline(never)]
-fn range_fault(addr: CodeAddr) -> StepOutcome {
-    fault(FaultKind::Internal, format!("pc out of range at {addr}"), 0)
+fn range_fault(addr: CodeAddr, cost: u64) -> StepOutcome {
+    fault(
+        FaultKind::Internal,
+        format!("pc out of range at {addr}"),
+        cost,
+    )
 }
 
-/// Executes one instruction of `p`.
+/// Executes one instruction of `p`: [`run`] with a zero budget.
 ///
 /// The caller (the supervisor) is responsible for only stepping processes
 /// it considers runnable, for applying the returned cost to the node clock,
 /// and for honouring trap/fault outcomes.
+pub fn step(p: &mut VmProcess, env: &mut ExecEnv<'_>) -> StepOutcome {
+    run(p, env, 0).0
+}
+
+/// Executes a *burst* of `p`'s instructions and returns how it ended
+/// together with the number of instructions executed (each allocator
+/// phase counts as one).
+///
+/// The first instruction always executes. The burst then continues until
+/// the accumulated simulated cost reaches `budget_us`, the next
+/// instruction is a [boundary](crate::OpCost::boundary) op (a syscall, a
+/// trap, or a signal: those only ever run as a burst of one), an
+/// allocating instruction has entered the allocator critical region, or
+/// an instruction has an outcome other than [`StepOutcome::Ran`]. The
+/// outcome's cost is the burst's total, so a supervisor that would have
+/// re-picked this process after every instruction of the burst — no
+/// timer due and no rotation before `budget_us` — sees exactly the clock
+/// it would have computed one instruction at a time.
 ///
 /// The dispatch is zero-clone: the instruction executes as a borrowed
 /// [`&Op`](Op) out of the program (copying `env.program`, a shared
 /// reference, keeps the op borrow independent of `env`'s mutable fields),
-/// the top frame is borrowed `&mut` exactly once, and cost/allocation
-/// metadata comes from the [`ProcCode::costs`](crate::ProcCode) side table
-/// instead of matching on the op.
-pub fn step(p: &mut VmProcess, env: &mut ExecEnv<'_>) -> StepOutcome {
+/// the top frame is borrowed `&mut` once per instruction, and
+/// cost/allocation/boundary metadata comes from the
+/// [`ProcCode::costs`](crate::ProcCode) side table instead of matching on
+/// the op.
+pub fn run(p: &mut VmProcess, env: &mut ExecEnv<'_>, budget_us: u64) -> (StepOutcome, u64) {
     // Deliver results of a completed blocking operation.
     if !p.pending_push.is_empty() {
         let vals = std::mem::take(&mut p.pending_push);
@@ -414,243 +440,285 @@ pub fn step(p: &mut VmProcess, env: &mut ExecEnv<'_>) -> StepOutcome {
     }
 
     let program = env.program;
-    let depth = p.frames.len();
-    let Some(frame) = p.frames.last_mut() else {
-        return fault(FaultKind::Internal, "process has no frames", 0);
-    };
-    let addr = frame.addr();
-    let pc = addr.pc as usize;
-    let (op, meta) = match program.procs.get(addr.proc.0 as usize) {
-        Some(code) if pc < code.code.len() && pc < code.costs.len() => {
-            (&code.code[pc], code.costs[pc])
+    let mut spent = 0u64;
+    let mut steps = 0u64;
+    loop {
+        if steps > 0 && spent >= budget_us {
+            return (StepOutcome::Ran { cost: spent }, steps);
         }
-        _ => return range_fault(addr),
-    };
+        let depth = p.frames.len();
+        let Some(frame) = p.frames.last_mut() else {
+            return (
+                fault(FaultKind::Internal, "process has no frames", spent),
+                steps + 1,
+            );
+        };
+        let addr = frame.addr();
+        let pc = addr.pc as usize;
+        let (op, meta) = match program.procs.get(addr.proc.0 as usize) {
+            Some(code) if pc < code.code.len() && pc < code.costs.len() => {
+                (&code.code[pc], code.costs[pc])
+            }
+            _ => return (range_fault(addr, spent), steps + 1),
+        };
+        if meta.boundary && steps > 0 {
+            return (StepOutcome::Ran { cost: spent }, steps);
+        }
+        steps += 1;
 
-    // Two-phase allocation: the first visit marks the process inside the
-    // allocator critical region and does not advance the pc; the second
-    // visit commits the allocation.
-    if meta.allocates && !p.in_allocator {
-        p.in_allocator = true;
-        return StepOutcome::Ran {
-            cost: u64::from(meta.cost),
-        };
-    }
-    let cost = if meta.allocates {
-        p.in_allocator = false;
-        ALLOC_COMMIT_COST
-    } else {
-        u64::from(meta.cost)
-    };
+        // Two-phase allocation: the first visit marks the process inside
+        // the allocator critical region and does not advance the pc; the
+        // second visit commits the allocation. The burst ends between the
+        // two, so the critical region is only ever entered and left at a
+        // scheduler visit (conservative: no halt can arrive mid-burst).
+        if meta.allocates && !p.in_allocator {
+            p.in_allocator = true;
+            return (
+                StepOutcome::Ran {
+                    cost: spent + u64::from(meta.cost),
+                },
+                steps,
+            );
+        }
+        // From here on `cost` is the burst's total including this
+        // instruction, which is what every outcome reports.
+        let cost = spent
+            + if meta.allocates {
+                p.in_allocator = false;
+                ALLOC_COMMIT_COST
+            } else {
+                u64::from(meta.cost)
+            };
 
-    macro_rules! pop {
-        () => {
-            match frame.stack.pop() {
-                Some(v) => v,
-                None => return fault(FaultKind::Internal, "operand stack underflow", cost),
-            }
-        };
-    }
-    macro_rules! pop_int {
-        () => {
-            match pop!() {
-                Value::Int(v) => v,
-                other => return type_fault("int", &other, cost),
-            }
-        };
-    }
-    macro_rules! pop_bool {
-        () => {
-            match pop!() {
-                Value::Bool(v) => v,
-                other => return type_fault("bool", &other, cost),
-            }
-        };
-    }
-    macro_rules! push {
-        ($v:expr) => {
-            frame.stack.push($v)
-        };
-    }
-    macro_rules! advance {
-        () => {
-            frame.pc += 1
-        };
-    }
-    match op {
-        Op::Trap(bp) => return StepOutcome::Trapped { bp: *bp },
-        Op::Nop => {
-            advance!();
-        }
-        Op::PushInt(v) => {
-            push!(Value::Int(*v));
-            advance!();
-        }
-        Op::PushBool(v) => {
-            push!(Value::Bool(*v));
-            advance!();
-        }
-        Op::PushNull => {
-            push!(Value::Null);
-            advance!();
-        }
-        Op::Pop(n) => {
-            for _ in 0..*n {
-                let _ = pop!();
-            }
-            advance!();
-        }
-        Op::LoadLocal(slot) => {
-            let v = frame.locals[*slot as usize].clone();
-            push!(v);
-            advance!();
-        }
-        Op::StoreLocal(slot) => {
-            let v = pop!();
-            frame.locals[*slot as usize] = v;
-            advance!();
-        }
-        Op::LoadGlobal(slot) => {
-            let v = env.globals[*slot as usize].clone();
-            push!(v);
-            advance!();
-        }
-        Op::StoreGlobal(slot) => {
-            let v = pop!();
-            env.globals[*slot as usize] = v;
-            advance!();
-        }
-        Op::Add => {
-            let b = pop_int!();
-            let a = pop_int!();
-            push!(Value::Int(a.wrapping_add(b)));
-            advance!();
-        }
-        Op::Sub => {
-            let b = pop_int!();
-            let a = pop_int!();
-            push!(Value::Int(a.wrapping_sub(b)));
-            advance!();
-        }
-        Op::Mul => {
-            let b = pop_int!();
-            let a = pop_int!();
-            push!(Value::Int(a.wrapping_mul(b)));
-            advance!();
-        }
-        Op::Neg => {
-            let a = pop_int!();
-            push!(Value::Int(a.wrapping_neg()));
-            advance!();
-        }
-        Op::Lt | Op::Le | Op::Gt | Op::Ge => {
-            let b = pop_int!();
-            let a = pop_int!();
-            let r = match op {
-                Op::Lt => a < b,
-                Op::Le => a <= b,
-                Op::Gt => a > b,
-                _ => a >= b,
+        macro_rules! bail {
+            ($outcome:expr) => {
+                return ($outcome, steps)
             };
-            push!(Value::Bool(r));
-            advance!();
         }
-        Op::CmpEq | Op::CmpNe => {
-            let b = pop!();
-            let a = pop!();
-            let eq = match (&a, &b) {
-                (Value::Int(x), Value::Int(y)) => x == y,
-                (Value::Bool(x), Value::Bool(y)) => x == y,
-                (Value::Str(x), Value::Str(y)) => x == y,
-                _ => return fault(FaultKind::Internal, format!("compare of {a} and {b}"), cost),
-            };
-            push!(Value::Bool(if matches!(op, Op::CmpEq) { eq } else { !eq }));
-            advance!();
-        }
-        Op::Not => {
-            let a = pop_bool!();
-            push!(Value::Bool(!a));
-            advance!();
-        }
-        Op::Jump(t) => {
-            frame.pc = *t;
-        }
-        Op::JumpIfFalse(t) => {
-            let c = pop_bool!();
-            if c {
-                advance!();
-            } else {
-                frame.pc = *t;
-            }
-        }
-        Op::JumpIfTrue(t) => {
-            let c = pop_bool!();
-            if c {
-                frame.pc = *t;
-            } else {
-                advance!();
-            }
-        }
-        Op::Call { proc, nargs } => {
-            if depth >= MAX_FRAMES {
-                return fault(FaultKind::StackOverflow, "call stack exhausted", cost);
-            }
-            let at = frame.stack.len() - *nargs as usize;
-            frame.pc += 1; // return continues after the call
-            let callee = match p.frame_pool.pop() {
-                Some(mut f) => {
-                    f.proc = *proc;
-                    f.pc = 0;
-                    f.locals.extend(frame.stack.drain(at..));
-                    f.well_formed = false;
-                    f.kind = FrameKind::Normal;
-                    f.rpc_info = None;
-                    f
+        macro_rules! pop {
+            () => {
+                match frame.stack.pop() {
+                    Some(v) => v,
+                    None => bail!(fault(FaultKind::Internal, "operand stack underflow", cost)),
                 }
-                None => Frame::activation(*proc, frame.stack.split_off(at)),
             };
-            p.frames.push(callee);
         }
-        Op::Enter { nlocals } => {
-            frame.locals.resize(*nlocals as usize, Value::Null);
-            frame.well_formed = true;
-            frame.pc += 1;
+        macro_rules! pop_int {
+            () => {
+                match pop!() {
+                    Value::Int(v) => v,
+                    other => bail!(type_fault("int", &other, cost)),
+                }
+            };
         }
-        Op::Ret { nvals } => {
-            let at = frame.stack.len() - *nvals as usize;
-            let mut returning = p.frames.pop().expect("frame checked above");
-            match p.frames.last_mut() {
-                Some(caller) => {
-                    caller.stack.extend(returning.stack.drain(at..));
-                    returning.locals.clear();
-                    returning.stack.clear();
-                    returning.rpc_info = None;
-                    if p.frame_pool.len() < MAX_FRAMES {
-                        p.frame_pool.push(returning);
+        macro_rules! pop_bool {
+            () => {
+                match pop!() {
+                    Value::Bool(v) => v,
+                    other => bail!(type_fault("bool", &other, cost)),
+                }
+            };
+        }
+        macro_rules! push {
+            ($v:expr) => {
+                frame.stack.push($v)
+            };
+        }
+        macro_rules! advance {
+            () => {
+                frame.pc += 1
+            };
+        }
+        match op {
+            Op::Trap(bp) => bail!(StepOutcome::Trapped { bp: *bp }),
+            Op::Nop => {
+                advance!();
+            }
+            Op::PushInt(v) => {
+                push!(Value::Int(*v));
+                advance!();
+            }
+            Op::PushBool(v) => {
+                push!(Value::Bool(*v));
+                advance!();
+            }
+            Op::PushNull => {
+                push!(Value::Null);
+                advance!();
+            }
+            Op::Pop(n) => {
+                for _ in 0..*n {
+                    let _ = pop!();
+                }
+                advance!();
+            }
+            Op::LoadLocal(slot) => {
+                let v = frame.locals[*slot as usize].clone();
+                push!(v);
+                advance!();
+            }
+            Op::StoreLocal(slot) => {
+                let v = pop!();
+                frame.locals[*slot as usize] = v;
+                advance!();
+            }
+            Op::LoadGlobal(slot) => {
+                let v = env.globals[*slot as usize].clone();
+                push!(v);
+                advance!();
+            }
+            Op::StoreGlobal(slot) => {
+                let v = pop!();
+                env.globals[*slot as usize] = v;
+                advance!();
+            }
+            Op::Add => {
+                let b = pop_int!();
+                let a = pop_int!();
+                push!(Value::Int(a.wrapping_add(b)));
+                advance!();
+            }
+            Op::Sub => {
+                let b = pop_int!();
+                let a = pop_int!();
+                push!(Value::Int(a.wrapping_sub(b)));
+                advance!();
+            }
+            Op::Mul => {
+                let b = pop_int!();
+                let a = pop_int!();
+                push!(Value::Int(a.wrapping_mul(b)));
+                advance!();
+            }
+            Op::Neg => {
+                let a = pop_int!();
+                push!(Value::Int(a.wrapping_neg()));
+                advance!();
+            }
+            Op::Lt | Op::Le | Op::Gt | Op::Ge => {
+                let b = pop_int!();
+                let a = pop_int!();
+                let r = match op {
+                    Op::Lt => a < b,
+                    Op::Le => a <= b,
+                    Op::Gt => a > b,
+                    _ => a >= b,
+                };
+                push!(Value::Bool(r));
+                advance!();
+            }
+            Op::CmpEq | Op::CmpNe => {
+                let b = pop!();
+                let a = pop!();
+                let eq = match (&a, &b) {
+                    (Value::Int(x), Value::Int(y)) => x == y,
+                    (Value::Bool(x), Value::Bool(y)) => x == y,
+                    (Value::Str(x), Value::Str(y)) => x == y,
+                    _ => bail!(fault(
+                        FaultKind::Internal,
+                        format!("compare of {a} and {b}"),
+                        cost
+                    )),
+                };
+                push!(Value::Bool(if matches!(op, Op::CmpEq) { eq } else { !eq }));
+                advance!();
+            }
+            Op::Not => {
+                let a = pop_bool!();
+                push!(Value::Bool(!a));
+                advance!();
+            }
+            Op::Jump(t) => {
+                frame.pc = *t;
+            }
+            Op::JumpIfFalse(t) => {
+                let c = pop_bool!();
+                if c {
+                    advance!();
+                } else {
+                    frame.pc = *t;
+                }
+            }
+            Op::JumpIfTrue(t) => {
+                let c = pop_bool!();
+                if c {
+                    frame.pc = *t;
+                } else {
+                    advance!();
+                }
+            }
+            Op::Call { proc, nargs } => {
+                if depth >= MAX_FRAMES {
+                    bail!(fault(
+                        FaultKind::StackOverflow,
+                        "call stack exhausted",
+                        cost
+                    ));
+                }
+                let at = frame.stack.len() - *nargs as usize;
+                frame.pc += 1; // return continues after the call
+                let callee = match p.frame_pool.pop() {
+                    Some(mut f) => {
+                        f.proc = *proc;
+                        f.pc = 0;
+                        f.locals.extend(frame.stack.drain(at..));
+                        f.well_formed = false;
+                        f.kind = FrameKind::Normal;
+                        f.rpc_info = None;
+                        f
+                    }
+                    None => Frame::activation(*proc, frame.stack.split_off(at)),
+                };
+                p.frames.push(callee);
+            }
+            Op::Enter { nlocals } => {
+                frame.locals.resize(*nlocals as usize, Value::Null);
+                frame.well_formed = true;
+                frame.pc += 1;
+            }
+            Op::Ret { nvals } => {
+                let at = frame.stack.len() - *nvals as usize;
+                let mut returning = p.frames.pop().expect("frame checked above");
+                match p.frames.last_mut() {
+                    Some(caller) => {
+                        caller.stack.extend(returning.stack.drain(at..));
+                        returning.locals.clear();
+                        returning.stack.clear();
+                        returning.rpc_info = None;
+                        if p.frame_pool.len() < MAX_FRAMES {
+                            p.frame_pool.push(returning);
+                        }
+                    }
+                    None => {
+                        p.exit_values = returning.stack.split_off(at);
+                        bail!(StepOutcome::Exited { cost });
                     }
                 }
-                None => {
-                    p.exit_values = returning.stack.split_off(at);
-                    return StepOutcome::Exited { cost };
-                }
             }
+            // Everything else is comparatively rare (heap traffic, strings,
+            // syscalls): it lives in a separate non-inlined handler so the
+            // hot dispatch loop above stays small enough to be
+            // cache-resident.
+            _ => match step_cold(op, p, env, cost) {
+                StepOutcome::Ran { .. } => {}
+                other => bail!(other),
+            },
         }
-        // Everything else is comparatively rare (heap traffic, strings,
-        // syscalls): it lives in a separate non-inlined handler so the hot
-        // dispatch loop above stays small enough to be cache-resident.
-        _ => return step_cold(op, p, env, cost),
+        spent = cost;
+        if meta.boundary {
+            return (StepOutcome::Ran { cost }, steps);
+        }
     }
-    StepOutcome::Ran { cost }
 }
 
-/// The cold half of [`step`]: heap-touching, string-building, and
+/// The cold half of [`run`]: heap-touching, string-building, and
 /// syscall-issuing instructions. `#[inline(never)]` keeps their (large)
 /// bodies — fault `format!`s, marshalling, `dyn Syscalls` plumbing — out
 /// of the hot dispatch loop's instruction footprint.
 #[inline(never)]
 fn step_cold(op: &Op, p: &mut VmProcess, env: &mut ExecEnv<'_>, cost: u64) -> StepOutcome {
     let program = env.program;
-    let frame = p.frames.last_mut().expect("step checked the frame");
+    let frame = p.frames.last_mut().expect("run checked the frame");
 
     macro_rules! pop {
         () => {
@@ -1499,5 +1567,61 @@ mod tests {
             vec![Value::Int(21), Value::Str("go".into())],
         );
         assert_eq!(f.prints, vec!["go", "42"]);
+    }
+
+    #[test]
+    fn bursts_add_up_to_single_steps() {
+        let program = compile(
+            "sq = proc (i: int) returns (int)\n return (i * i)\nend\n\
+             main = proc () returns (int)\n t: int := 0\n\
+             for i: int := 1 to 40 do\n t := t + sq(i)\n\
+             if i // 10 = 0 then\n print(int$unparse(t) || \" at \" || int$unparse(now()))\n end\n\
+             end\n return (t)\nend",
+        )
+        .unwrap();
+        let id = program.proc_by_name("main").unwrap();
+        // (prints, exit values, total cost, instructions, bursts)
+        let drive = |budget: u64| {
+            let mut heap = Heap::new();
+            let mut globals = vec![];
+            let mut sys = TestSys::default();
+            let mut p = VmProcess::spawn(id, vec![]);
+            let (mut cost, mut steps, mut bursts) = (0, 0, 0);
+            loop {
+                let mut env = ExecEnv {
+                    heap: &mut heap,
+                    program: &program,
+                    globals: &mut globals,
+                    sys: &mut sys,
+                };
+                let (outcome, n) = super::run(&mut p, &mut env, budget);
+                assert!(n >= 1, "a burst executes at least one instruction");
+                steps += n;
+                bursts += 1;
+                match outcome {
+                    StepOutcome::Ran { cost: c } => cost += c,
+                    StepOutcome::Exited { cost: c } => {
+                        cost += c;
+                        break;
+                    }
+                    other => panic!("unexpected {other:?}"),
+                }
+            }
+            (sys.prints, p.exit_values, cost, steps, bursts)
+        };
+        let single = drive(0);
+        assert_eq!(
+            single.3, single.4,
+            "a zero budget runs one instruction per call"
+        );
+        assert_eq!(single.0.len(), 4);
+        for budget in [3, 17, 64, u64::MAX] {
+            let b = drive(budget);
+            assert_eq!(
+                (&b.0, &b.1, b.2, b.3),
+                (&single.0, &single.1, single.2, single.3)
+            );
+            assert!(b.4 < single.4, "budget {budget} must batch instructions");
+        }
     }
 }

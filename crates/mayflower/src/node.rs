@@ -42,7 +42,8 @@ pub struct NodeConfig {
     pub freeze_timeouts_on_halt: bool,
     /// Accumulate per-procedure instruction and cost counters while
     /// stepping ([`Node::vm_profile`]). Off by default: the profiling
-    /// hook sits on the per-instruction hot path.
+    /// hook sits on the per-instruction hot path, so a profiled node
+    /// steps one instruction per scheduler visit instead of bursts.
     pub profile_vm: bool,
 }
 
@@ -251,8 +252,9 @@ pub struct Node {
     /// and discarded lazily, so deadline queries cost O(log timers)
     /// amortised instead of a process-table scan.
     timers: BinaryHeap<Reverse<(SimTime, Pid)>>,
-    /// Total step_process invocations — one add per instruction, read at
-    /// sync points by the world's metrics instead of a hot-path counter.
+    /// Total instructions executed (each allocator phase and each native
+    /// step counts as one), added once per burst and read at sync points
+    /// by the world's metrics instead of a hot-path counter.
     steps_total: u64,
     /// Per-procedure `(instructions, cost_us)` accumulation, indexed by
     /// `ProcId`; populated only when [`NodeConfig::profile_vm`] is set.
@@ -1333,6 +1335,12 @@ impl Node {
     /// run and no timer is due before `t`), returning the accumulated
     /// outcalls.
     ///
+    /// Each scheduler visit runs the picked VM process for a burst of
+    /// instructions ([`pilgrim_cclu::run`]) bounded so that it ends where
+    /// a visit per instruction would first have decided differently; the
+    /// trace, clocks and [`steps_total`](Node::steps_total) are the same
+    /// either way.
+    ///
     /// The node may overshoot `t` by at most one instruction, which is far
     /// below the network's minimum latency — the conservative-window
     /// property the world relies on for causality.
@@ -1354,7 +1362,18 @@ impl Node {
                     }
                 }
             };
-            self.step_process(pid);
+            // The burst may run until the next scheduler decision that
+            // could differ: the bound `t`, the earliest timer entry (a
+            // lower bound on every live deadline), or the end of the
+            // slice. Before any of those this loop would re-pick `pid`.
+            let horizon = match self.timers.peek() {
+                Some(&Reverse((d, _))) => d.min(t),
+                None => t,
+            };
+            let budget = horizon
+                .saturating_since(self.clock)
+                .min(self.config.time_slice.saturating_sub(self.slice_used));
+            self.step_process(pid, budget.as_micros());
             if self.slice_used >= self.config.time_slice {
                 self.rotate();
             }
@@ -1400,15 +1419,17 @@ impl Node {
         if p.state.is_dead() {
             return false;
         }
-        self.step_process(pid);
+        self.step_process(pid, 0);
         true
     }
 
-    fn step_process(&mut self, pid: Pid) {
+    /// Runs `pid` for one burst of at most `budget_us` of simulated cost
+    /// (always at least one instruction). Profiling, trace-mode stepping,
+    /// a pending halt and native processes take one instruction.
+    fn step_process(&mut self, pid: Pid, budget_us: u64) {
         // The process is stepped in place: the proc borrow and the borrows
         // handed to the system-call context are disjoint fields of `self`,
-        // so no remove/re-insert round trip is needed per instruction.
-        self.steps_total += 1;
+        // so no remove/re-insert round trip is needed per burst.
         let logical_now = self.logical_now();
         if self.config.profile_vm {
             // Close the pre-step interval (time spent in the current
@@ -1461,7 +1482,15 @@ impl Node {
             block: None,
         };
 
-        let outcome = match &mut proc.body {
+        // Per-instruction profiling, the trace-mode step and a deferred
+        // halt (applied at the first instruction boundary outside the
+        // allocator) all observe single instructions.
+        let budget_us = if self.config.profile_vm || was_trace || proc.halt_pending {
+            0
+        } else {
+            budget_us
+        };
+        let (outcome, steps) = match &mut proc.body {
             ProcBody::Vm(vm) => {
                 let mut env = ExecEnv {
                     heap: &mut self.heap,
@@ -1471,7 +1500,7 @@ impl Node {
                 };
                 // (VM processes receive resume values through pending_push,
                 // set at wake time.)
-                pilgrim_cclu::step(vm, &mut env)
+                pilgrim_cclu::run(vm, &mut env, budget_us)
             }
             ProcBody::Native { body, resume } => {
                 let resume = std::mem::take(resume);
@@ -1481,9 +1510,10 @@ impl Node {
                     globals: &mut self.globals,
                     sys: &mut ctx,
                 };
-                body.step(resume, &mut env)
+                (body.step(resume, &mut env), 1)
             }
         };
+        self.steps_total += steps;
 
         let block = ctx.block.take();
         let spawns = std::mem::take(&mut ctx.spawns);
